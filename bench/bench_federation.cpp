@@ -12,8 +12,11 @@
 //     sighted tunnel); a global outage delays everything.
 //   merge — federated pipeline pps at 1/2/4/8 sites with every site
 //     active. sites=1 exercises the single-site passthrough (must stay
-//     at the unfederated baseline); the rest price the demux + K-way
-//     merge on the hot path.
+//     at the unfederated baseline); the rest price the federation filter
+//     on the hot path: one pass over each batch's dst lane recording
+//     per-site sightings, the input batch forwarded as is. (The table
+//     keeps its historical "merge" key so the committed baseline still
+//     gates it.)
 //
 //   ./bench_federation            (EXIOT_SCALE=0.2 EXIOT_SEED=42)
 //
@@ -171,7 +174,8 @@ int main() {
   }
   if (json != nullptr) std::fprintf(json, "\n  ],\n");
 
-  benchx::heading("merge: federated hot-path pps by site count (all active)");
+  benchx::heading(
+      "merge: federation filter hot-path pps by site count (all active)");
   std::printf("%10s %12s %14s\n", "sites", "packets", "pps");
   if (json != nullptr) std::fprintf(json, "  \"merge\": [");
   first = true;

@@ -104,8 +104,11 @@ int main() {
 
   std::vector<net::Packet> packets;
   telescope::TrafficSynthesizer synth(population, aperture);
-  synth.emit(0, kMicrosPerHour,
-             [&packets](const net::Packet& pkt) { packets.push_back(pkt); });
+  synth.emit_batches(0, kMicrosPerHour, kBatch,
+                     [&packets](const net::PacketBatch& batch) {
+                       packets.insert(packets.end(), batch.packets().begin(),
+                                      batch.packets().end());
+                     });
   std::printf("one capture hour: %zu packets (scale %.2f, seed %llu), "
               "%u hardware threads, batch %zu\n\n",
               packets.size(), scale,

@@ -1,8 +1,9 @@
 // Throughput of the capture->detect stage, in two modes:
 //
-//   replay — one pre-synthesized hour pushed through ThreadedIngest at
-//     increasing shard counts. Isolates detector sharding (the producer
-//     cost is a plain vector replay), as in PR 2.
+//   replay — one pre-synthesized hour, held as 1024-row SoA batches,
+//     pushed through ThreadedIngest::run_hour_batched (the production
+//     path) at increasing shard counts. Isolates detector sharding (the
+//     producer cost is a plain vector replay).
 //   live — true end-to-end pps (synthesis + merge + detection) across a
 //     producer-threads x detector-shards grid, with the multi-threaded
 //     ParallelProducer as stage 0. This is the number that used to be
@@ -38,6 +39,9 @@ double env_double(const char* name, double fallback) {
   return value != nullptr ? std::atof(value) : fallback;
 }
 
+/// Rows per replayed batch: the pipeline's default producer_batch_size.
+constexpr std::size_t kReplayBatch = 1024;
+
 pipeline::ThreadedIngest make_ingest(int shards) {
   pipeline::IngestConfig config;
   config.num_shards = shards;
@@ -49,20 +53,27 @@ pipeline::ThreadedIngest make_ingest(int shards) {
                                   probe::table1_ports());
 }
 
-double run_replay(const std::vector<net::Packet>& packets, int shards) {
+/// One pre-synthesized capture hour as the SoA batches a producer or the
+/// trace decoder hands the ingest stage, lanes already synced.
+struct Hour {
+  std::vector<net::PacketBatch> batches;
+  std::size_t packets = 0;
+};
+
+double run_replay(const Hour& hour, int shards) {
   pipeline::ThreadedIngest ingest = make_ingest(shards);
   const auto start = std::chrono::steady_clock::now();
-  ingest.run_hour(
-      [&packets](const pipeline::ThreadedIngest::PacketFn& fn) {
-        for (const auto& pkt : packets) fn(pkt);
-        return packets.size();
+  ingest.run_hour_batched(
+      [&hour](const pipeline::ThreadedIngest::BatchFn& fn) {
+        for (const net::PacketBatch& batch : hour.batches) fn(batch);
+        return hour.packets;
       },
       kMicrosPerHour);
   ingest.finish();
   const double elapsed =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
           .count();
-  return static_cast<double>(packets.size()) / elapsed;
+  return static_cast<double>(hour.packets) / elapsed;
 }
 
 double run_live(const inet::Population& population, Cidr aperture,
@@ -110,13 +121,17 @@ int main() {
 
   // Pre-synthesize the hour so the replay numbers isolate the ingest
   // stage itself.
-  std::vector<net::Packet> packets;
+  Hour hour;
   telescope::TrafficSynthesizer synth(population, aperture);
-  synth.emit(0, kMicrosPerHour,
-             [&packets](const net::Packet& pkt) { packets.push_back(pkt); });
+  synth.emit_batches(0, kMicrosPerHour, kReplayBatch,
+                     [&hour](const net::PacketBatch& batch) {
+                       hour.batches.push_back(batch);
+                       (void)hour.batches.back().ts();  // Sync the lanes.
+                       hour.packets += batch.size();
+                     });
   std::printf("one capture hour: %zu packets (scale %.2f, seed %llu), "
               "%u hardware threads\n\n",
-              packets.size(), scale,
+              hour.packets, scale,
               static_cast<unsigned long long>(seed),
               std::thread::hardware_concurrency());
 
@@ -127,7 +142,7 @@ int main() {
                  "  \"scale\": %.3f,\n  \"seed\": %llu,\n"
                  "  \"hardware_threads\": %u,\n  \"hour_packets\": %zu,\n",
                  scale, static_cast<unsigned long long>(seed),
-                 std::thread::hardware_concurrency(), packets.size());
+                 std::thread::hardware_concurrency(), hour.packets);
   }
 
   std::printf("replay (pre-synthesized hour; detector sharding only)\n");
@@ -138,7 +153,7 @@ int main() {
   for (const int shards : {1, 2, 4, 8}) {
     double best = 0.0;
     for (int rep = 0; rep < 3; ++rep) {
-      const double pps = run_replay(packets, shards);
+      const double pps = run_replay(hour, shards);
       if (pps > best) best = pps;
     }
     if (shards == 1) base = best;
@@ -168,10 +183,10 @@ int main() {
             run_live(population, aperture, producers, shards, &live_packets);
         if (pps > best) best = pps;
       }
-      if (live_packets != packets.size()) {
+      if (live_packets != hour.packets) {
         std::printf("!! live packet count %zu != replay %zu "
                     "(determinism violation)\n",
-                    live_packets, packets.size());
+                    live_packets, hour.packets);
       }
       if (producers == 1 && shards == 1) live_base = best;
       std::printf("%10d %8d %14.0f %9.2fx\n", producers, shards, best,

@@ -402,8 +402,8 @@ void ExIotPipeline::run_hours(std::int64_t first_hour,
     const TimeMicros end = start + kMicrosPerHour;
     // The hour moves through capture->detect in SoA batches: the producer
     // synthesizes straight into PacketBatch rows, the federation stage
-    // demuxes each batch across the sensor sites and re-merges the active
-    // apertures (a pass-through at num_sites == 1), and the ingest stage
+    // records each row's sighting and drops dark apertures' rows in one
+    // pass (a pass-through at num_sites == 1), and the ingest stage
     // filters each batch with one backscatter sweep (see net/batch.h).
     ingest_.run_hour_batched(
         [this, start, end](const ThreadedIngest::BatchFn& fn) {

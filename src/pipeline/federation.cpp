@@ -46,7 +46,6 @@ FederationStage::FederationStage(FederationConfig config,
         obs::Labels{{"site", info.name}}));
   }
   sightings_.reset(static_cast<std::size_t>(config_.num_sites));
-  merge_.assign(static_cast<std::size_t>(config_.num_sites));
   site_counts_.assign(static_cast<std::size_t>(config_.num_sites), 0);
   dropped_c_ = &reg.counter(
       "exiot_federation_dropped_total",
@@ -67,6 +66,11 @@ std::size_t FederationStage::run_window(const BatchSource& source,
     // forward batches untouched, keep the hot path free of bookkeeping.
     return source(sink);
   }
+  // With every site active nothing is dropped and the input batch itself
+  // is forwarded; otherwise the surviving rows are copied out in input
+  // order. Either way the stream keeps the canonical order.
+  const bool filtering = active_ < config_.num_sites;
+  const auto active = static_cast<std::size_t>(active_);
   std::size_t forwarded = 0;
   std::uint64_t dropped = 0;
   source([&](const net::PacketBatch& batch) {
@@ -75,32 +79,25 @@ std::size_t FederationStage::run_window(const BatchSource& source,
     const std::uint32_t* src = batch.src();
     const std::uint32_t* dst = batch.dst();
     std::fill(site_counts_.begin(), site_counts_.end(), 0);
+    if (filtering) out_.clear();
     for (std::size_t i = 0; i < n; ++i) {
       const std::size_t site = site_of(dst[i]);
-      if (site >= static_cast<std::size_t>(active_)) {
+      if (site >= active) {
         ++dropped;
         continue;  // Dark aperture: nobody is listening there.
       }
       ++site_counts_[site];
       sightings_.record(src[i], static_cast<std::uint32_t>(site), ts[i],
                         ts[i] + sites_[site].clock_skew);
-      merge_.queue(site).push_back(
-          telescope::SiteRow{batch[i], static_cast<std::uint32_t>(i)});
+      if (filtering) out_.push_back(batch[i]);
     }
     for (std::size_t s = 0; s < site_counts_.size(); ++s) {
       if (site_counts_[s] != 0) packets_c_[s]->inc(site_counts_[s]);
     }
-    // Arrival batches are canonically ordered, so every queued row of
-    // this batch precedes every row of the next: the merge drains fully
-    // here (the batch boundary is the watermark) and the row index is a
-    // collision-free tie-break.
-    out_.clear();
-    merge_.drain([this](const telescope::SiteRow& row, std::size_t) {
-      out_.push_back(row.pkt);
-    });
-    if (!out_.empty()) {
-      forwarded += out_.size();
-      sink(static_cast<const net::PacketBatch&>(out_));
+    const net::PacketBatch& out = filtering ? out_ : batch;
+    if (!out.empty()) {
+      forwarded += out.size();
+      sink(out);
     }
   });
   if (dropped != 0) dropped_c_->inc(dropped);

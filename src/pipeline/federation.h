@@ -4,21 +4,21 @@
 // deterministic packet stream the sharded ingest consumes.
 //
 // Placement: between the producer (canonical traffic synthesis against
-// the full aperture) and the threaded ingest. Each canonical SoA batch is
-// demultiplexed by destination into per-site slices — a site captures
-// exactly the packets landing in its sub-prefix — sightings are recorded
-// per (source, site), dark (inactive) sites drop their slice, and the
-// active slices are re-merged by canonical arrival time through the same
-// tournament tree the host merge uses (telescope::FederatedMerge). The
-// union of all active sites reconstructs the canonical stream exactly, so
-// the merged feed is byte-identical for any site count — the federation
-// determinism matrix (tests/federation_test.cpp) asserts it against the
-// producers x shards x annotate-workers grid.
+// the full aperture) and the threaded ingest. The stage is a stable
+// filter: one pass over each canonical SoA batch's dst lane attributes
+// every row to the site whose sub-prefix it lands in, records the
+// sighting per (source, site), and drops the row if that site is dark
+// (inactive). The surviving rows go downstream in input order; with every
+// site active that is the input batch itself. The union of all sites is
+// the canonical stream, so the forwarded feed is byte-identical for any
+// site count — whatever the input order, including replayed captures
+// whose timestamps step back — and the federation determinism matrix
+// (tests/federation_test.cpp) asserts it against the producers x shards x
+// annotate-workers grid.
 //
 // Clock skew: a site's local timestamp is canonical + skew. Skew colors
-// the per-sensor attribution (local_first_seen) but never the merge order
-// — the aggregator sorts on the canonical clock, the way the real one
-// would after skew normalization — so the feed is skew-invariant.
+// the per-sensor attribution (local_first_seen) but never the stream
+// order, so the feed is skew-invariant.
 //
 // Detector events (SCANNER / SAMPLE / END_FLOW) ship to the aggregator
 // over the tunnel of every site that sighted the source; the event is
@@ -27,7 +27,7 @@
 // single-tunnel behavior exactly.
 //
 // Single-site fast path: num_sites == 1 forwards batches untouched — no
-// demux, no sighting bookkeeping, no merge — so the legacy pipeline pays
+// attribution, no sighting bookkeeping — so the legacy pipeline pays
 // nothing for the federation layer existing.
 #pragma once
 
@@ -50,7 +50,7 @@ namespace exiot::pipeline {
 /// entries take the defaults).
 struct SiteSpec {
   /// Site clock minus canonical clock (local_first_seen = canonical +
-  /// skew). Never affects merge order or feed bytes.
+  /// skew). Never affects stream order or feed bytes.
   TimeMicros clock_skew = 0;
   /// This site's tunnel re-establishment delay after an outage.
   TimeMicros reconnect_delay = seconds(5);
@@ -80,9 +80,10 @@ class FederationStage {
   FederationStage(FederationConfig config,
                   obs::MetricsRegistry* metrics = nullptr);
 
-  /// Streams one window: pulls canonical batches from `source`, demuxes
-  /// them across the sites, and forwards the re-merged (active-aperture)
-  /// stream to `sink`. Returns the number of packets forwarded.
+  /// Streams one window: pulls canonical batches from `source`, records
+  /// each row's sighting at its site, and forwards the rows of the active
+  /// apertures to `sink` in input order. Returns the number of packets
+  /// forwarded.
   std::size_t run_window(const BatchSource& source, const BatchFn& sink);
 
   /// Delivery time of a detector event about `src` sent at `sent_at`: the
@@ -120,8 +121,7 @@ class FederationStage {
   std::vector<telescope::SiteInfo> sites_;
   std::vector<std::unique_ptr<ReconnectingTunnel>> tunnels_;
   telescope::SightingTable sightings_;
-  telescope::FederatedMerge merge_;
-  net::PacketBatch out_;                    // Re-merge scratch, reused.
+  net::PacketBatch out_;  // Surviving rows when a site is dark, reused.
   std::vector<std::uint64_t> site_counts_;  // Per-batch metric scratch.
   std::vector<obs::Counter*> packets_c_;    // Per-site captured packets.
   obs::Counter* dropped_c_;

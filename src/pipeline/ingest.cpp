@@ -109,14 +109,6 @@ std::size_t ThreadedIngest::shard_of(Ipv4 src) const {
       (mixed >> 32) % static_cast<std::uint64_t>(config_.num_shards));
 }
 
-std::size_t ThreadedIngest::run_single(const PacketSource& source) {
-  Shard& shard = *shards_[0];
-  return source([this, &shard](const net::Packet& pkt) {
-    shard.current_seq = seq_++;
-    shard.detector->process(pkt);
-  });
-}
-
 void ThreadedIngest::consume_shard(std::size_t s, bool tracing_on) {
   Shard* sp = shards_[s].get();
   auto heartbeat = obs::Watchdog::attach(
@@ -137,14 +129,8 @@ void ThreadedIngest::consume_shard(std::size_t s, bool tracing_on) {
               ? sp->batch_pop_micros - handoff
               : 0;
     }
-    if (!batch->pkts.empty()) {
-      sp->detector->process_batch(batch->pkts, batch->seqs.data(),
-                                  &sp->current_seq);
-    }
-    for (SeqPacket& item : batch->items) {
-      sp->current_seq = item.seq;
-      sp->detector->process(item.pkt);
-    }
+    sp->detector->process_batch(batch->pkts, batch->seqs.data(),
+                                &sp->current_seq);
     if (batch->trace.sampled()) {
       const std::uint64_t now = obs::steady_micros();
       tracer_->record(batch->trace, obs::SpanStage::kIngest,
@@ -173,43 +159,6 @@ void ThreadedIngest::push_to_shard(std::size_t s, Batch&& batch,
   }
   (void)shard.buffer->push(std::move(batch));
   batches_c_->inc();
-}
-
-std::size_t ThreadedIngest::run_threaded(const PacketSource& source) {
-  const std::size_t n = shards_.size();
-  for (auto& shard : shards_) shard->buffer->reopen();
-
-  const bool tracing = tracer_ != nullptr && tracer_->enabled();
-  std::vector<std::thread> consumers;
-  consumers.reserve(n);
-  for (std::size_t s = 0; s < n; ++s) {
-    consumers.emplace_back([this, s, tracing] { consume_shard(s, tracing); });
-  }
-
-  // The calling thread is the producer: route each packet to its shard's
-  // open batch, flushing full batches into the blocking buffer (a full
-  // buffer back-pressures us here instead of dropping).
-  std::vector<Batch> open(n);
-  for (auto& batch : open) batch.items.reserve(config_.batch_size);
-  const std::size_t count =
-      source([this, &open, tracing](const net::Packet& pkt) {
-        const std::size_t s = shard_of(pkt.src);
-        Batch& batch = open[s];
-        batch.items.push_back(SeqPacket{pkt, seq_++});
-        if (batch.items.size() >= config_.batch_size) {
-          push_to_shard(s, std::move(batch), tracing);
-          batch = Batch();
-          batch.items.reserve(config_.batch_size);
-        }
-      });
-  for (std::size_t s = 0; s < n; ++s) {
-    if (!open[s].items.empty()) {
-      push_to_shard(s, std::move(open[s]), tracing);
-    }
-    shards_[s]->buffer->close();
-  }
-  for (auto& t : consumers) t.join();
-  return count;
 }
 
 std::size_t ThreadedIngest::run_single_batched(const BatchSource& source) {
@@ -269,27 +218,14 @@ std::size_t ThreadedIngest::run_threaded_batched(const BatchSource& source) {
   return count;
 }
 
-std::size_t ThreadedIngest::run_hour(const PacketSource& source,
-                                     TimeMicros hour_end) {
-  const std::size_t count =
-      config_.num_shards == 1 ? run_single(source) : run_threaded(source);
-  packets_c_->inc(count);
-  // Hour barrier: the shards are quiescent now. Expiry events sort after
-  // every packet of the hour (they all share seq_ == packets so far).
-  for (auto& shard : shards_) {
-    shard->current_seq = seq_;
-    shard->detector->end_of_hour(hour_end);
-  }
-  drain();
-  return count;
-}
-
 std::size_t ThreadedIngest::run_hour_batched(const BatchSource& source,
                                              TimeMicros hour_end) {
   const std::size_t count = config_.num_shards == 1
                                 ? run_single_batched(source)
                                 : run_threaded_batched(source);
   packets_c_->inc(count);
+  // Hour barrier: the shards are quiescent now. Expiry events sort after
+  // every packet of the hour (they all share seq_ == packets so far).
   for (auto& shard : shards_) {
     shard->current_seq = seq_;
     shard->detector->end_of_hour(hour_end);

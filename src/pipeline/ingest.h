@@ -1,9 +1,11 @@
 // The threaded capture→detect stage. The paper decouples the 1M pps
 // telescope capture from downstream modules with a 15 GB mbuffer; this
-// stage reproduces that architecture: a producer (the traffic synthesizer,
-// standing in for the capture card) emits the time-ordered packet stream,
-// which is sharded by source IP into per-shard blocking BoundedBuffers and
-// consumed by N FlowDetector shards on their own threads.
+// stage reproduces that architecture: a producer (the traffic synthesizer
+// or a trace decoder, standing in for the capture card) emits the hour's
+// time-ordered packet stream as SoA batches (net/batch.h), whose rows are
+// sharded by source IP into per-shard blocking BoundedBuffers and consumed
+// by N FlowDetector shards on their own threads. There is one run mode,
+// run_hour_batched; the detectors take whole batches (process_batch).
 //
 // Sharding by source is what makes the detectors lock-free: all TRW /
 // flow-table state is keyed by source IP, and every packet of a source
@@ -21,7 +23,8 @@
 //     in ascending second order, reproducing the global report stream.
 //
 // `num_shards == 1` falls back to a fully single-threaded path (no
-// buffers, no threads) with the same deferred-event semantics.
+// buffers, no threads, no scatter: source batches go straight to the one
+// detector) with the same deferred-event semantics.
 #pragma once
 
 #include <cstdint>
@@ -31,7 +34,7 @@
 
 #include "common/types.h"
 #include "flow/detector.h"
-#include "net/packet.h"
+#include "net/batch.h"
 #include "obs/metrics.h"
 #include "obs/span.h"
 #include "obs/watchdog.h"
@@ -53,12 +56,6 @@ struct IngestConfig {
 
 class ThreadedIngest {
  public:
-  using PacketFn = std::function<void(const net::Packet&)>;
-  /// A packet source: called with a per-packet callback and expected to
-  /// invoke it for every packet of the hour in non-decreasing timestamp
-  /// order, returning the number of packets emitted.
-  using PacketSource = std::function<std::size_t(const PacketFn&)>;
-
   using BatchFn = std::function<void(const net::PacketBatch&)>;
   /// A batched packet source: invokes the callback once per SoA batch
   /// (rows in non-decreasing timestamp order across calls), returning the
@@ -67,7 +64,7 @@ class ThreadedIngest {
   using BatchSource = std::function<std::size_t(const BatchFn&)>;
 
   /// `sink` receives the merged detector events; its callbacks run on the
-  /// thread calling run_hour()/finish(), never concurrently.
+  /// thread calling run_hour_batched()/finish(), never concurrently.
   ThreadedIngest(IngestConfig config, flow::DetectorConfig detector_config,
                  flow::DetectorEvents sink,
                  std::vector<std::uint16_t> report_ports = {},
@@ -79,14 +76,11 @@ class ThreadedIngest {
   ThreadedIngest(const ThreadedIngest&) = delete;
   ThreadedIngest& operator=(const ThreadedIngest&) = delete;
 
-  /// Runs one capture hour: streams `source` through the shards, runs the
-  /// expiry sweep at `hour_end`, and replays all detector events into the
-  /// sink before returning. Returns the number of packets processed.
-  std::size_t run_hour(const PacketSource& source, TimeMicros hour_end);
-
-  /// Batched run_hour: same contract and byte-identical outputs, but the
-  /// hour moves through the stage in SoA batches — one std::function call
-  /// and one backscatter sweep per batch instead of per packet.
+  /// Runs one capture hour: streams `source` through the shards in SoA
+  /// batches (one std::function call and one backscatter sweep per batch),
+  /// runs the expiry sweep at `hour_end`, and replays all detector events
+  /// into the sink before returning. Returns the number of packets
+  /// processed.
   std::size_t run_hour_batched(const BatchSource& source,
                                TimeMicros hour_end);
 
@@ -100,18 +94,13 @@ class ThreadedIngest {
   int num_shards() const { return config_.num_shards; }
 
  private:
-  struct SeqPacket {
-    net::Packet pkt;
-    std::uint64_t seq = 0;  // Global arrival sequence number.
-  };
-
   /// One capture-buffer hand-off. The trace context (sampled per batch,
   /// keyed by shard x batch ordinal) times the enqueue->dequeue gap the
   /// batch spent waiting for its detector shard.
   struct Batch {
-    std::vector<SeqPacket> items;  // Scalar path.
-    net::PacketBatch pkts;         // Batched path (items stays empty).
-    std::vector<std::uint64_t> seqs;  // Parallel to pkts rows.
+    net::PacketBatch pkts;
+    /// Global arrival sequence number per row.
+    std::vector<std::uint64_t> seqs;
     obs::TraceContext trace;
     std::uint64_t seq = 0;  // Per-shard batch ordinal.
   };
@@ -148,11 +137,9 @@ class ThreadedIngest {
   };
 
   std::size_t shard_of(Ipv4 src) const;
-  std::size_t run_single(const PacketSource& source);
-  std::size_t run_threaded(const PacketSource& source);
   std::size_t run_single_batched(const BatchSource& source);
   std::size_t run_threaded_batched(const BatchSource& source);
-  /// Consumer-side loop shared by run_threaded / run_threaded_batched.
+  /// Consumer-side loop of run_threaded_batched's shard threads.
   void consume_shard(std::size_t s, bool tracing_on);
   /// Stamps trace context / batch ordinal and pushes into a shard buffer.
   void push_to_shard(std::size_t s, Batch&& batch, bool tracing);

@@ -75,12 +75,6 @@ ParallelProducer::~ParallelProducer() {
   join_workers();
 }
 
-std::size_t ParallelProducer::run(
-    TimeMicros t0, TimeMicros t1,
-    const std::function<void(const net::Packet&)>& fn) {
-  return emit(t0, t1, fn);
-}
-
 void ParallelProducer::start_window(TimeMicros t0, TimeMicros t1) {
   workers_.reserve(partitions_.size());
   for (std::size_t p = 0; p < partitions_.size(); ++p) {
@@ -102,12 +96,14 @@ void ParallelProducer::produce(std::size_t p, Partition& part,
 
   const bool tracing = tracer_ != nullptr && tracer_->enabled();
   ProducerBatch batch;
-  batch.items.reserve(config_.batch_size);
-  TimeMicros batch_start = 0;
+  batch.pkts.reserve(config_.batch_size);
+  batch.hosts.reserve(config_.batch_size);
   std::uint64_t build_start = 0;
+  // Hands the batch to the merge; false when the queue was closed under
+  // us (merger shutdown), which stops the window.
   auto flush = [this, p, &part, &batch, &build_start, &heartbeat,
                 tracing]() {
-    batch_h_->observe(static_cast<double>(batch.items.size()));
+    batch_h_->observe(static_cast<double>(batch.pkts.size()));
     batch.seq = ++part.batch_seq;
     if (tracing) {
       // Keyed by (partition, batch ordinal): batch boundaries depend only
@@ -131,27 +127,26 @@ void ParallelProducer::produce(std::size_t p, Partition& part,
     if (!pushed) return false;
     batches_c_->inc();
     batch = ProducerBatch();
-    batch.items.reserve(config_.batch_size);
+    batch.pkts.reserve(config_.batch_size);
+    batch.hosts.reserve(config_.batch_size);
     return true;
   };
-  telescope::emit_window(
+  // The merge core appends rows to `batch.pkts`; flush() resets `batch`
+  // in place, so that reference stays valid across hand-offs.
+  telescope::emit_window_rows(
       part.streams, part.hosts.data(), part.live, t0, t1, part.pruned,
-      [this, &batch, &batch_start, &build_start, &flush, tracing](
-          const net::Packet& pkt, std::uint32_t host) {
-        if (batch.items.empty()) {
-          batch_start = pkt.ts;
-          if (tracing) build_start = obs::steady_micros();
-        }
-        batch.items.push_back(SynthPacket{pkt, host});
-        if (batch.items.size() >= config_.batch_size ||
-            pkt.ts - batch_start >= config_.batch_span) {
-          // A refused push means the queue was closed under us (merger
-          // shutdown): abort the window.
+      batch.pkts,
+      [this, &batch, &build_start, &flush, tracing](std::uint32_t host) {
+        batch.hosts.push_back(host);
+        const std::size_t n = batch.pkts.size();
+        if (n == 1 && tracing) build_start = obs::steady_micros();
+        if (n >= config_.batch_size ||
+            batch.pkts[n - 1].ts - batch.pkts[0].ts >= config_.batch_span) {
           return flush();
         }
         return true;
       });
-  if (!batch.items.empty()) (void)flush();
+  if (!batch.pkts.empty()) (void)flush();
   pruned_c_->inc(part.pruned - pruned_before);
   part.queue->close();
   heartbeat.retire();
@@ -164,7 +159,7 @@ bool ParallelProducer::refill(std::size_t p, Cursor& cursor) {
       cursor.done = true;
       return false;
     }
-    if (batch->items.empty()) continue;
+    if (batch->pkts.empty()) continue;
     if (batch->trace.sampled()) {
       // The produce span closes when the merge picks the batch up: build
       // time is processing, the enqueue->dequeue gap is queue wait.

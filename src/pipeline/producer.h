@@ -3,14 +3,12 @@
 // capture->detect stage was sharded (pipeline/ingest.h) the single-threaded
 // synthesizer merge became the pipeline's serial bottleneck. This stage
 // partitions the host streams round-robin across K producer threads; each
-// thread runs its own local heap-merge (telescope::emit_window) over its
-// partition and pushes fixed-size, time-bounded packet batches into a
-// per-producer BoundedBuffer. A merger on the calling thread performs a
-// deterministic K-way merge over the producer queues by (ts, host_index) —
-// the same total order the serial synthesizer emits — and hands each packet
-// to the caller, which stamps the global arrival sequence numbers and
-// routes into the per-shard capture buffers (ThreadedIngest's producer
-// role).
+// thread runs the synthesizer's merge core (telescope::emit_window_rows)
+// over its partition, synthesizing straight into fixed-size, time-bounded
+// packet batches that it pushes into a per-producer BoundedBuffer. A
+// merger on the calling thread performs a deterministic K-way merge over
+// the producer queues by (ts, host_index) — the same total order the
+// serial synthesizer emits — and re-batches the rows for the caller.
 //
 // Because every partition's stream is sorted by (ts, host_index) and host
 // indices are disjoint across partitions, the head-of-queue merge
@@ -20,19 +18,18 @@
 //
 // `num_producers == 1` short-circuits to a fully serial emit on the
 // calling thread (no queues, no threads) with the same live-list and
-// reused-slot fast paths, so the baseline configuration pays nothing for
+// in-place row fast paths, so the baseline configuration pays nothing for
 // the machinery.
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <thread>
 #include <vector>
 
 #include "common/types.h"
 #include "inet/population.h"
-#include "net/packet.h"
+#include "net/batch.h"
 #include "obs/metrics.h"
 #include "obs/span.h"
 #include "obs/watchdog.h"
@@ -56,18 +53,14 @@ struct ProducerConfig {
   std::size_t queue_capacity = 8;
 };
 
-/// One synthesized packet annotated with its global host index — the
-/// deterministic tie-break the K-way merge orders equal timestamps by.
-struct SynthPacket {
-  net::Packet pkt;
-  std::uint32_t host = 0;
-};
-
 /// One producer thread's unit of hand-off to the K-way merge. The trace
 /// context (sampled per batch, keyed by partition x batch ordinal) lets the
 /// merge side attribute batch build time vs. queue-wait time.
 struct ProducerBatch {
-  std::vector<SynthPacket> items;
+  net::PacketBatch pkts;  // Rows only; the merge never reads the lanes.
+  /// Global host index per row — the deterministic tie-break the K-way
+  /// merge orders equal timestamps by.
+  std::vector<std::uint32_t> hosts;
   obs::TraceContext trace;
   std::uint64_t build_micros = 0;  // Wall time spent filling the batch.
   std::uint64_t seq = 0;           // Per-partition batch ordinal.
@@ -86,26 +79,14 @@ class ParallelProducer {
   ParallelProducer& operator=(const ParallelProducer&) = delete;
 
   /// Emits every packet with ts in [t0, t1) in the canonical
-  /// (ts, host_index) arrival order, calling `fn(const net::Packet&)` on
-  /// the calling thread. `fn` may return void, or bool where false stops
-  /// the run early: producer queues are closed, the worker threads unwind
-  /// off their blocked pushes and are joined before emit returns (the
-  /// close-while-producing shutdown path). After an early stop the
-  /// producer's stream state is mid-window; start the next emit from a
-  /// fresh instance. Returns the number of packets delivered to `fn`.
-  template <typename Fn>
-  std::size_t emit(TimeMicros t0, TimeMicros t1, Fn&& fn) {
-    if (partitions_.size() == 1) return emit_serial(t0, t1, fn);
-    return emit_threaded(t0, t1, fn);
-  }
-
-  /// Batched emit: the same canonical (ts, host_index) packet stream,
-  /// delivered as SoA batches of `batch_size` rows via
-  /// `fn(const net::PacketBatch&)` (void return; the batch is borrowed
-  /// only for the call). The serial fallback synthesizes directly into
-  /// batch rows (no per-packet callback at all); with K > 1 producers the
-  /// per-packet K-way merge output is re-batched on the calling thread.
-  /// No early-stop protocol — shutdown paths use the scalar emit().
+  /// (ts, host_index) arrival order, delivered as SoA batches of
+  /// `batch_size` rows via `fn(const net::PacketBatch&)` (void return; the
+  /// batch is borrowed only for the call). The serial fallback synthesizes
+  /// directly into batch rows; with K > 1 producers the K-way merge output
+  /// is re-batched on the calling thread. Returns the number of packets
+  /// delivered. If `fn` throws, the window is abandoned mid-merge: destroy
+  /// the producer (its destructor closes the queues, which unblocks the
+  /// workers, and joins them).
   template <typename BatchFn>
   std::size_t emit_batches(TimeMicros t0, TimeMicros t1,
                            std::size_t batch_size, BatchFn&& fn) {
@@ -123,26 +104,8 @@ class ParallelProducer {
       packets_c_->inc(count);
       return count;
     }
-    batch_.reserve(batch_size);
-    batch_.clear();
-    auto sink = [this, &fn, batch_size](const net::Packet& pkt) {
-      batch_.push_back(pkt);
-      if (batch_.size() >= batch_size) {
-        fn(static_cast<const net::PacketBatch&>(batch_));
-        batch_.clear();
-      }
-    };
-    const std::size_t count = emit_threaded(t0, t1, sink);
-    if (!batch_.empty()) {
-      fn(static_cast<const net::PacketBatch&>(batch_));
-      batch_.clear();
-    }
-    return count;
+    return emit_threaded(t0, t1, batch_size, fn);
   }
-
-  /// std::function convenience wrapper (cold callers).
-  std::size_t run(TimeMicros t0, TimeMicros t1,
-                  const std::function<void(const net::Packet&)>& fn);
 
   int num_producers() const {
     return static_cast<int>(partitions_.size());
@@ -171,38 +134,23 @@ class ParallelProducer {
     std::uint64_t batch_seq = 0;  // Ordinal keying batch trace sampling.
   };
 
-  template <typename Fn>
-  std::size_t emit_serial(TimeMicros t0, TimeMicros t1, Fn& fn) {
-    Partition& part = *partitions_[0];
-    const std::uint64_t avoided = part.streams.size() - part.live.size();
-    part.dead_scans_avoided += avoided;
-    dead_scans_c_->inc(avoided);
-    const std::size_t pruned_before = part.pruned;
-    const std::size_t count = telescope::emit_window(
-        part.streams, part.hosts.data(), part.live, t0, t1, part.pruned,
-        [&fn](const net::Packet& pkt, std::uint32_t) {
-          return invoke_sink(fn, pkt);
-        });
-    pruned_c_->inc(part.pruned - pruned_before);
-    packets_c_->inc(count);
-    return count;
-  }
-
-  template <typename Fn>
-  std::size_t emit_threaded(TimeMicros t0, TimeMicros t1, Fn& fn) {
+  template <typename BatchFn>
+  std::size_t emit_threaded(TimeMicros t0, TimeMicros t1,
+                            std::size_t batch_size, BatchFn& fn) {
     start_window(t0, t1);
     // The K-way merge: advance the cursor holding the smallest
     // (ts, host) head; refill a drained cursor from its queue (blocking
     // until the producer pushes or closes).
     std::vector<Cursor> cursors(partitions_.size());
+    batch_.reserve(batch_size);
+    batch_.clear();
     std::size_t count = 0;
-    bool stopped = false;
-    while (!stopped) {
+    while (true) {
       int best = -1;
       for (std::size_t p = 0; p < cursors.size(); ++p) {
         Cursor& cur = cursors[p];
         if (cur.done) continue;
-        if (cur.pos >= cur.batch.items.size() && !refill(p, cur)) continue;
+        if (cur.pos >= cur.batch.pkts.size() && !refill(p, cur)) continue;
         if (best < 0 || heads_before(cur, cursors[static_cast<std::size_t>(
                                               best)])) {
           best = static_cast<int>(p);
@@ -210,30 +158,20 @@ class ParallelProducer {
       }
       if (best < 0) break;
       Cursor& winner = cursors[static_cast<std::size_t>(best)];
-      const SynthPacket& item = winner.batch.items[winner.pos++];
-      if (!invoke_sink(fn, item.pkt)) {
-        stopped = true;
-        break;
-      }
+      batch_.push_back(winner.batch.pkts[winner.pos++]);
       ++count;
+      if (batch_.size() >= batch_size) {
+        fn(static_cast<const net::PacketBatch&>(batch_));
+        batch_.clear();
+      }
     }
-    if (stopped) close_queues();  // Unblock producers parked on a push.
+    if (!batch_.empty()) {
+      fn(static_cast<const net::PacketBatch&>(batch_));
+      batch_.clear();
+    }
     join_workers();
     packets_c_->inc(count);
     return count;
-  }
-
-  /// Adapts void- and bool-returning sinks to the internal
-  /// continue-flag protocol.
-  template <typename Fn>
-  static bool invoke_sink(Fn& fn, const net::Packet& pkt) {
-    if constexpr (std::is_void_v<std::invoke_result_t<
-                      Fn&, const net::Packet&>>) {
-      fn(pkt);
-      return true;
-    } else {
-      return fn(pkt);
-    }
   }
 
   struct Cursor {
@@ -243,16 +181,16 @@ class ParallelProducer {
   };
 
   static bool heads_before(const Cursor& a, const Cursor& b) {
-    const SynthPacket& x = a.batch.items[a.pos];
-    const SynthPacket& y = b.batch.items[b.pos];
-    if (x.pkt.ts != y.pkt.ts) return x.pkt.ts < y.pkt.ts;
-    return x.host < y.host;
+    const TimeMicros x = a.batch.pkts[a.pos].ts;
+    const TimeMicros y = b.batch.pkts[b.pos].ts;
+    if (x != y) return x < y;
+    return a.batch.hosts[a.pos] < b.batch.hosts[b.pos];
   }
 
   /// Reopens the queues and launches one worker per partition for the
   /// window [t0, t1).
   void start_window(TimeMicros t0, TimeMicros t1);
-  /// Worker body: local heap-merge over the partition, batched emission.
+  /// Worker body: the merge core over the partition, batched emission.
   void produce(std::size_t p, Partition& part, TimeMicros t0,
                TimeMicros t1);
   /// Blocking refill of a drained cursor; false once the queue is closed

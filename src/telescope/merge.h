@@ -1,10 +1,11 @@
-// Tournament (loser) tree for the telescope's k-way window merge.
+// Tournament (loser) tree for the telescope's k-way window merge
+// (telescope::emit_window_rows, the synthesizer's only merge loop).
 //
-// The scalar merge uses a binary heap: every emitted packet that changes
-// the head costs a pop (sift-down) plus a push (sift-up), each moving
-// 16-byte entries. A tournament tree replays exactly one leaf-to-root
-// path per packet instead, and the loser-tree variant stores the *loser*
-// of the match played at each internal node, which buys two things:
+// A binary heap would cost a pop (sift-down) plus a push (sift-up) per
+// emitted packet that changes the head, each moving 16-byte entries. A
+// tournament tree replays exactly one leaf-to-root path per packet
+// instead, and the loser-tree variant stores the *loser* of the match
+// played at each internal node, which buys two things:
 //
 //   - a replay is one comparison per level (winner trees need two child
 //     reads per level to re-run each match);
@@ -16,9 +17,9 @@
 // own half), so there is no sound O(1) "winner stays" check — every
 // advance replays the path.
 //
-// Selection order is identical to the heap's: each step yields the strict
-// minimum under (ts, host), and host indices are unique across slots, so
-// the order is total and the emitted sequence is byte-identical.
+// Each step yields the strict minimum under (ts, host), and host indices
+// are unique across slots, so the selection order is total: the emitted
+// sequence is the canonical (ts, host_index) arrival order.
 #pragma once
 
 #include <algorithm>
@@ -81,7 +82,6 @@ class WinnerTree {
 
   /// The winning slot (undefined when exhausted()).
   std::uint32_t top() const { return winner_; }
-  TimeMicros top_ts() const { return ts_[winner_]; }
   bool exhausted() const { return n_ == 0 || ts_[winner_] == kDone; }
 
   /// Updates the key of `slot` and replays its leaf-to-root path: one

@@ -1,21 +1,21 @@
 // Telescope federation primitives: sensor-site apertures carved out of the
-// canonical telescope prefix, per-source per-sensor sighting bookkeeping,
-// and the cross-site K-way re-merge.
+// canonical telescope prefix and per-source per-sensor sighting
+// bookkeeping.
 //
 // The federation model keeps the determinism contract the single-telescope
 // pipeline asserts: traffic is synthesized once against the full telescope
 // aperture (the synthesizer's RNG consumption depends on the aperture, so
-// per-site synthesis would diverge), then demultiplexed by destination into
-// per-site streams — each site observes exactly the slice of the canonical
-// stream that lands in its sub-prefix. The union of all active sites'
-// slices, re-merged by canonical arrival time, is byte-identical for any
-// site count, which is what lets the federation determinism matrix compare
-// feeds across {1, 2, 4} sites.
+// per-site synthesis would diverge), and each site observes exactly the
+// rows of the canonical stream that land in its sub-prefix. The
+// aggregator's stream is the canonical one with the dark (inactive)
+// apertures' rows filtered out, in input order — so with every site active
+// it is byte-identical for any site count, which is what lets the
+// federation determinism matrix compare feeds across {1, 2, 4} sites.
 //
-// Clock skew is site-local color, not merge order: a site stamps its copy
+// Clock skew is site-local color, not stream order: a site stamps its copy
 // of a packet with `canonical_ts + skew` for its own books (local
-// first-seen attribution), while the aggregator merges on the canonical
-// timestamp — exactly how the real aggregator would sort after NTP-style
+// first-seen attribution), while the aggregator keeps the canonical
+// order — exactly how the real aggregator would order after NTP-style
 // skew normalization.
 #pragma once
 
@@ -25,8 +25,6 @@
 #include <vector>
 
 #include "common/types.h"
-#include "net/packet.h"
-#include "telescope/merge.h"
 
 namespace exiot::telescope {
 
@@ -114,71 +112,6 @@ class SightingTable {
   std::vector<TimeMicros> local_first_seen_;
   std::vector<std::uint64_t> packets_;
   std::vector<std::uint8_t> sites_seen_;  // Per row: distinct sensor count.
-};
-
-/// One packet as queued by a sensor site for the aggregator. `seq` is the
-/// packet's row index within the input batch it was demuxed from — unique
-/// across every row queued at any site for that batch, which makes it the
-/// WinnerTree tie-break that reconstructs the canonical order exactly.
-struct SiteRow {
-  net::Packet pkt;
-  std::uint32_t seq;
-};
-
-/// The aggregator's K-way merge across sensor sites: each site queues the
-/// rows it captured from one input batch (already in canonical order
-/// within the site), and drain() replays the union in strict
-/// (canonical ts, seq) order through the same tournament tree the
-/// synthesizer's host merge uses. Because arrival batches are themselves
-/// canonically ordered, the queues fully drain per batch — the watermark
-/// is the batch boundary — so `seq` never collides across drains.
-class FederatedMerge {
- public:
-  void assign(std::size_t num_sites) {
-    queues_.resize(num_sites);
-    cursors_.assign(num_sites, 0);
-    for (auto& q : queues_) q.clear();
-  }
-
-  std::size_t num_sites() const { return queues_.size(); }
-
-  /// The fill-side queue of `site`; push rows in canonical order.
-  std::vector<SiteRow>& queue(std::size_t site) { return queues_[site]; }
-
-  /// Emits every queued row in (ts, seq) order as `fn(const SiteRow&,
-  /// site)`, then clears all queues.
-  template <typename Fn>
-  void drain(Fn&& fn) {
-    tree_.assign(queues_.size());
-    for (std::size_t s = 0; s < queues_.size(); ++s) {
-      cursors_[s] = 0;
-      if (!queues_[s].empty()) {
-        tree_.set_slot(s, queues_[s][0].pkt.ts, queues_[s][0].seq);
-      }
-    }
-    tree_.rebuild();
-    while (!tree_.exhausted()) {
-      const std::uint32_t site = tree_.top();
-      const SiteRow& row = queues_[site][cursors_[site]];
-      fn(static_cast<const SiteRow&>(row), site);
-      const std::size_t next = ++cursors_[site];
-      if (next < queues_[site].size()) {
-        // Unlike the host merge, a site's tie-break (seq) advances with
-        // every row — refresh it before replaying the path.
-        tree_.set_slot(site, queues_[site][next].pkt.ts,
-                       queues_[site][next].seq);
-        tree_.update(site, queues_[site][next].pkt.ts);
-      } else {
-        tree_.close(site);
-      }
-    }
-    for (auto& q : queues_) q.clear();
-  }
-
- private:
-  std::vector<std::vector<SiteRow>> queues_;
-  std::vector<std::size_t> cursors_;
-  WinnerTree tree_;
 };
 
 }  // namespace exiot::telescope

@@ -28,7 +28,8 @@ HostStream::HostStream(const inet::Population& pop, const inet::Host& host,
   }
   if (!host_.sessions.empty()) {
     next_ts_ = host_.sessions[0].start + draw_iat();
-    if (next_ts_ >= host_.sessions[0].end) advance();
+    // Nothing emitted yet, so a later session may begin at its own start.
+    if (next_ts_ >= host_.sessions[0].end) advance(host_.sessions[0].start);
   }
 }
 
@@ -44,7 +45,7 @@ TimeMicros HostStream::draw_iat() {
                                      iat_s * kMicrosPerSecond));
 }
 
-void HostStream::advance() {
+void HostStream::advance(TimeMicros floor) {
   while (session_idx_ < host_.sessions.size()) {
     const inet::Session& s = host_.sessions[session_idx_];
     const TimeMicros base = std::max(next_ts_, s.start);
@@ -55,7 +56,9 @@ void HostStream::advance() {
     }
     ++session_idx_;
     if (session_idx_ < host_.sessions.size()) {
-      next_ts_ = host_.sessions[session_idx_].start;
+      // A reappearance session can start while an earlier one is still
+      // running: resume after the packet just emitted, never before it.
+      next_ts_ = std::max(floor, host_.sessions[session_idx_].start);
     }
   }
   next_ts_ = kNever;
@@ -110,16 +113,10 @@ void HostStream::fill_packet(TimeMicros ts, net::Packet& out) {
   }
 }
 
-std::optional<net::Packet> HostStream::next() {
-  net::Packet p;
-  if (!next_into(p)) return std::nullopt;
-  return p;
-}
-
 bool HostStream::next_into(net::Packet& out) {
   if (next_ts_ == kNever) return false;
   fill_packet(next_ts_, out);
-  advance();
+  advance(next_ts_);
   return true;
 }
 
@@ -136,7 +133,13 @@ TrafficSynthesizer::TrafficSynthesizer(const inet::Population& pop,
 std::size_t TrafficSynthesizer::run(
     TimeMicros t0, TimeMicros t1,
     const std::function<void(const net::Packet&)>& fn) {
-  return emit(t0, t1, fn);
+  constexpr std::size_t kBatchRows = 1024;
+  return emit_batches(t0, t1, kBatchRows,
+                      [&fn](const net::PacketBatch& batch) {
+                        for (const net::Packet& pkt : batch.packets()) {
+                          fn(pkt);
+                        }
+                      });
 }
 
 }  // namespace exiot::telescope

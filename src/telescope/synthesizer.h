@@ -4,21 +4,18 @@
 // CAIDA capture: downstream modules consume exactly what they would consume
 // from the real telescope (decoded packets in arrival order).
 //
-// The merge core (`emit_window`) is shared with the multi-threaded
+// The merge core (`emit_window_rows`) is shared with the multi-threaded
 // producer stage (pipeline/producer.h): it emits the packets of one time
 // window from an arbitrary subset of streams in (ts, host_index) order,
 // keeps a compacted live-stream list so exhausted hosts are never
-// rescanned, and fills a reused packet slot instead of materializing an
-// optional<Packet> per packet — the per-packet overheads this stage must
-// not pay at ~1M pps.
+// rescanned, and synthesizes each packet straight into a reused batch row
+// — the per-packet overheads this stage must not pay at ~1M pps.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <limits>
 #include <optional>
-#include <queue>
-#include <type_traits>
 #include <vector>
 
 #include "common/types.h"
@@ -35,15 +32,13 @@ class HostStream {
   HostStream(const inet::Population& pop, const inet::Host& host,
              Cidr aperture);
 
-  /// The next packet, or nullopt when the host is done.
-  std::optional<net::Packet> next();
-
-  /// Hot-path variant: fills `out` in place (every field is reset, so the
-  /// slot can be shared across streams) and returns false when the host is
-  /// done. Avoids constructing an optional<net::Packet> per packet.
+  /// Fills `out` in place with the next packet (every field is reset, so
+  /// the slot can be shared across streams) and returns false when the
+  /// host is done.
   bool next_into(net::Packet& out);
 
-  /// Timestamp of the packet `next()` would return (kNever when done).
+  /// Timestamp of the packet `next_into()` would fill (kNever when done).
+  /// Never decreases: the stream is time-ordered.
   TimeMicros peek_ts() const { return next_ts_; }
 
   /// True once every session has been exhausted.
@@ -53,7 +48,8 @@ class HostStream {
       std::numeric_limits<TimeMicros>::max();
 
  private:
-  void advance();
+  /// Moves `next_ts_` to the host's next packet, never before `floor`.
+  void advance(TimeMicros floor);
   void fill_packet(TimeMicros ts, net::Packet& out);
   TimeMicros draw_iat();
 
@@ -74,115 +70,37 @@ class HostStream {
   std::uint16_t misconfig_port_ = 0;
 };
 
-/// Shared window-merge core of the serial synthesizer and the partitioned
-/// producer threads. Emits every packet with ts in [t0, t1) from the
-/// streams listed in `live` in (ts, host_index) order — the canonical
-/// arrival order every producer-thread/detector-shard combination must
-/// reproduce. `hosts[local]` maps a stream slot to its global host index
-/// (nullptr: the slot index is the host index, the unpartitioned case).
+/// The window merge core: the serial synthesizer, the serial producer and
+/// every producer thread run this one loop. Emits every packet with ts in
+/// [t0, t1) from the streams listed in `live` in (ts, host_index) order —
+/// the canonical arrival order every producer-thread/detector-shard
+/// combination must reproduce — synthesizing each directly into a row
+/// appended to `batch` (no intermediate buffering, no extra copy).
+/// `hosts[local]` maps a stream slot to its global host index (nullptr:
+/// the slot index is the host index, the unpartitioned case).
+///
+/// After each row, `row_fn(host_index)` runs. It may hand `batch` off and
+/// clear it, and returns false to stop the window early (a producer thread
+/// whose queue was closed under it; the streams are left mid-window and
+/// must not be reused). Rows still in `batch` at window end are the
+/// caller's to flush.
 ///
 /// Streams found exhausted at window entry are dropped from `live` (their
 /// count accumulates into `pruned`), so later windows stop rescanning
-/// hosts that finished days ago. `fn(pkt, host_index)` may return void, or
-/// bool where false aborts the window early (the shutdown path; stream
-/// window state is abandoned mid-merge, so the caller must not reuse the
-/// streams afterwards). Returns the number of packets emitted.
-template <typename Fn>
-std::size_t emit_window(std::vector<HostStream>& streams,
-                        const std::uint32_t* hosts,
-                        std::vector<std::uint32_t>& live, TimeMicros t0,
-                        TimeMicros t1, std::size_t& pruned, Fn&& fn) {
-  struct Entry {
-    TimeMicros ts;
-    std::uint32_t host;   // Global host index: the merge tie-break.
-    std::uint32_t local;  // Index into `streams`.
-    bool operator>(const Entry& other) const {
-      if (ts != other.ts) return ts > other.ts;
-      return host > other.host;
-    }
-  };
-  std::priority_queue<Entry, std::vector<Entry>, std::greater<>> heap;
+/// hosts that finished days ago. Selection is a tournament (loser) tree —
+/// telescope/merge.h: one leaf-to-root replay per packet, a single
+/// comparison per level. Returns the number of packets emitted.
+template <typename RowFn>
+std::size_t emit_window_rows(std::vector<HostStream>& streams,
+                             const std::uint32_t* hosts,
+                             std::vector<std::uint32_t>& live,
+                             TimeMicros t0, TimeMicros t1,
+                             std::size_t& pruned, net::PacketBatch& batch,
+                             RowFn&& row_fn) {
   net::Packet scratch;
 
   // Window entry: skip packets before the window, prune exhausted streams
   // out of the live list (compacting in place, order preserved).
-  std::size_t kept = 0;
-  for (const std::uint32_t local : live) {
-    HostStream& stream = streams[local];
-    while (stream.peek_ts() < t0) (void)stream.next_into(scratch);
-    if (stream.done()) {
-      ++pruned;
-      continue;
-    }
-    live[kept++] = local;
-    if (stream.peek_ts() < t1) {
-      heap.push(Entry{stream.peek_ts(),
-                      hosts != nullptr ? hosts[local] : local, local});
-    }
-  }
-  live.resize(kept);
-
-  std::size_t count = 0;
-  while (!heap.empty()) {
-    const Entry top = heap.top();
-    heap.pop();
-    HostStream& stream = streams[top.local];
-    // Inner loop: keep emitting from this stream while its next packet
-    // still precedes the heap head — bursty sessions re-emit directly
-    // instead of paying a heap pop+push per packet. The (ts, host) order
-    // is exactly what the pop would have produced.
-    while (true) {
-      if (!stream.next_into(scratch)) break;
-      if (scratch.ts >= t1) break;
-      using Result = std::invoke_result_t<Fn&, const net::Packet&,
-                                          std::uint32_t>;
-      if constexpr (std::is_void_v<Result>) {
-        fn(static_cast<const net::Packet&>(scratch), top.host);
-      } else {
-        if (!fn(static_cast<const net::Packet&>(scratch), top.host)) {
-          return count;
-        }
-      }
-      ++count;
-      const TimeMicros peek = stream.peek_ts();
-      if (peek >= t1) break;
-      if (heap.empty()) continue;
-      const Entry& head = heap.top();
-      if (peek < head.ts || (peek == head.ts && top.host < head.host)) {
-        continue;
-      }
-      heap.push(Entry{peek, top.host, top.local});
-      break;
-    }
-  }
-  return count;
-}
-
-/// Batched emit_window: identical emission order and stream state
-/// transitions, but each packet is synthesized directly into a reused
-/// PacketBatch row and `fn(const net::PacketBatch&)` (void return) is
-/// invoked once per `batch_size` packets — and once at window end for the
-/// remainder. The callback borrows the batch only for the call. There is
-/// no early-stop protocol; shutdown paths use the scalar emit_window.
-///
-/// Unlike the scalar merge's binary heap, the batched path selects with a
-/// tournament (loser) tree — telescope/merge.h: one leaf-to-root replay
-/// per packet (a single comparison per level) instead of a heap pop+push
-/// sifting 16-byte entries. Both structures yield the strict (ts, host)
-/// minimum each step, so the emitted sequence is byte-identical to
-/// emit_window's. Each packet is synthesized directly into its reused
-/// batch row — no intermediate buffering, no extra copy.
-template <typename BatchFn>
-std::size_t emit_window_batch(std::vector<HostStream>& streams,
-                              const std::uint32_t* hosts,
-                              std::vector<std::uint32_t>& live,
-                              TimeMicros t0, TimeMicros t1,
-                              std::size_t& pruned, std::size_t batch_size,
-                              net::PacketBatch& batch, BatchFn&& fn) {
-  net::Packet scratch;
-
-  // Window entry: skip packets before the window, prune exhausted streams
-  // (identical to the scalar merge).
   std::size_t kept = 0;
   for (const std::uint32_t local : live) {
     HostStream& stream = streams[local];
@@ -201,20 +119,22 @@ std::size_t emit_window_batch(std::vector<HostStream>& streams,
   for (const std::uint32_t local : live) {
     if (streams[local].peek_ts() < t1) slot_local.push_back(local);
   }
+  const auto host_of = [hosts](std::uint32_t local) {
+    return hosts != nullptr ? hosts[local] : local;
+  };
   WinnerTree tree;
   tree.assign(slot_local.size());
   for (std::size_t s = 0; s < slot_local.size(); ++s) {
     const std::uint32_t local = slot_local[s];
-    tree.set_slot(s, streams[local].peek_ts(),
-                  hosts != nullptr ? hosts[local] : local);
+    tree.set_slot(s, streams[local].peek_ts(), host_of(local));
   }
   tree.rebuild();
 
-  batch.clear();
   std::size_t count = 0;
   while (!tree.exhausted()) {
     const std::uint32_t slot = tree.top();
-    HostStream& stream = streams[slot_local[slot]];
+    const std::uint32_t local = slot_local[slot];
+    HostStream& stream = streams[local];
     net::Packet& row = batch.append_slot();
     // An open slot's peek_ts is < t1, so the stream has a packet and its
     // timestamp is inside the window (next_into fills at peek_ts).
@@ -225,10 +145,7 @@ std::size_t emit_window_batch(std::vector<HostStream>& streams,
     }
     batch.commit_back();
     ++count;
-    if (batch.size() >= batch_size) {
-      fn(static_cast<const net::PacketBatch&>(batch));
-      batch.clear();
-    }
+    if (!row_fn(host_of(local))) return count;
     const TimeMicros peek = stream.peek_ts();
     tree.update(slot, peek < t1 ? peek : WinnerTree::kDone);
     if (!tree.exhausted()) {
@@ -243,6 +160,30 @@ std::size_t emit_window_batch(std::vector<HostStream>& streams,
       __builtin_prefetch(next + 192);
     }
   }
+  return count;
+}
+
+/// emit_window_rows with fixed-size batching: `fn(const net::PacketBatch&)`
+/// (void return) is invoked once per `batch_size` packets, and once at
+/// window end for the remainder. The callback borrows the batch only for
+/// the call.
+template <typename BatchFn>
+std::size_t emit_window_batch(std::vector<HostStream>& streams,
+                              const std::uint32_t* hosts,
+                              std::vector<std::uint32_t>& live,
+                              TimeMicros t0, TimeMicros t1,
+                              std::size_t& pruned, std::size_t batch_size,
+                              net::PacketBatch& batch, BatchFn&& fn) {
+  batch.clear();
+  const std::size_t count = emit_window_rows(
+      streams, hosts, live, t0, t1, pruned, batch,
+      [&batch, &fn, batch_size](std::uint32_t) {
+        if (batch.size() >= batch_size) {
+          fn(static_cast<const net::PacketBatch&>(batch));
+          batch.clear();
+        }
+        return true;
+      });
   if (!batch.empty()) {
     fn(static_cast<const net::PacketBatch&>(batch));
     batch.clear();
@@ -257,27 +198,15 @@ class TrafficSynthesizer {
  public:
   TrafficSynthesizer(const inet::Population& pop, Cidr aperture);
 
-  /// Emits every packet with ts in [t0, t1) in non-decreasing order.
-  /// Returns the number of packets emitted. Templated so hot callers
-  /// (the threaded ingest producer, benchmarks) avoid a std::function
-  /// call per packet.
-  template <typename Fn>
-  std::size_t emit(TimeMicros t0, TimeMicros t1, Fn&& fn) {
-    // Work the live list saves: exhausted streams not rescanned this
-    // window.
-    dead_scans_avoided_ += streams_.size() - live_.size();
-    return emit_window(streams_, nullptr, live_, t0, t1, pruned_,
-                       [&fn](const net::Packet& pkt, std::uint32_t) {
-                         fn(pkt);
-                       });
-  }
-
-  /// Batched emit: same packets in the same order, synthesized directly
-  /// into SoA batch rows and delivered `batch_size` at a time as
-  /// `fn(const net::PacketBatch&)`.
+  /// Emits every packet with ts in [t0, t1) in (ts, host_index) order,
+  /// synthesized directly into SoA batch rows and delivered `batch_size`
+  /// at a time as `fn(const net::PacketBatch&)`. Returns the number of
+  /// packets emitted.
   template <typename BatchFn>
   std::size_t emit_batches(TimeMicros t0, TimeMicros t1,
                            std::size_t batch_size, BatchFn&& fn) {
+    // Work the live list saves: exhausted streams not rescanned this
+    // window.
     dead_scans_avoided_ += streams_.size() - live_.size();
     batch_.reserve(batch_size);
     return emit_window_batch(streams_, nullptr, live_, t0, t1, pruned_,
@@ -285,6 +214,8 @@ class TrafficSynthesizer {
                              std::forward<BatchFn>(fn));
   }
 
+  /// std::function adapter over emit_batches, one call per packet (cold
+  /// callers: capture_to_files, tests, benches).
   std::size_t run(TimeMicros t0, TimeMicros t1,
                   const std::function<void(const net::Packet&)>& fn);
 

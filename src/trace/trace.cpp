@@ -177,6 +177,14 @@ std::string HourlyTraceWriter::file_name(std::int64_t hour_index) {
 
 Status HourlyTraceWriter::add(const net::Packet& pkt) {
   const std::int64_t hour = pkt.ts / kMicrosPerHour;
+  if (hour < current_hour_ || (hour == current_hour_ && !open_)) {
+    // The hour's file is already written: reopening it would truncate it
+    // to the stray packets, so refuse instead.
+    return make_error("trace_order",
+                      "packet at hour " + std::to_string(hour) +
+                          " arrived after hour " +
+                          std::to_string(current_hour_) + " was started");
+  }
   if (hour != current_hour_) {
     if (auto s = rotate_to(hour); !s.ok()) return s;
   }

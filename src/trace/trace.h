@@ -99,6 +99,8 @@ class HourlyTraceWriter {
 
   /// Packets must be fed in non-decreasing hour order (within an hour,
   /// arbitrary order is fine — the real capture is merge-sorted upstream).
+  /// A packet of an earlier hour (or of the current one after close()) is
+  /// refused with an error; the files already written are left intact.
   Status add(const net::Packet& pkt);
 
   /// Flushes and closes the current hour file, if any.

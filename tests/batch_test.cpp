@@ -16,6 +16,7 @@
 #include "ml/forest.h"
 #include "net/batch.h"
 #include "net/wire.h"
+#include "reference_merge.h"
 #include "telescope/synthesizer.h"
 #include "trace/trace.h"
 
@@ -523,9 +524,10 @@ TEST(ForestBatch, BatchedTreeScoresBitIdentical) {
   }
 }
 
-// The batched synthesizer swaps the scalar merge's binary heap for a
-// tournament tree; this pins that both structures emit the byte-identical
-// packet sequence, at every batch size, across window boundaries.
+// The synthesizer's merge is a tournament tree emitting straight into
+// batch rows; this pins its output against the brute-force reference
+// (every host stream drained on its own, sorted by (ts, host index)) at
+// every batch size, across window boundaries.
 TEST(SynthBatch, EmitBatchesMatchesScalarEmit) {
   const Cidr scope(Ipv4(44, 0, 0, 0), 8);
   inet::PopulationConfig config;
@@ -538,13 +540,10 @@ TEST(SynthBatch, EmitBatchesMatchesScalarEmit) {
   const inet::WorldModel world = inet::WorldModel::standard(scope);
   const inet::Population pop = inet::Population::generate(config, world);
 
-  telescope::TrafficSynthesizer scalar(pop, scope);
   std::vector<std::vector<std::uint8_t>> want;
-  for (TimeMicros hour = 0; hour < 2; ++hour) {
-    scalar.emit(hour * kMicrosPerHour, (hour + 1) * kMicrosPerHour,
-                [&](const net::Packet& p) {
-                  want.push_back(net::serialize(p));
-                });
+  for (const net::Packet& p :
+       oracle::reference_merge(pop, scope, 0, 2 * kMicrosPerHour)) {
+    want.push_back(net::serialize(p));
   }
   ASSERT_GT(want.size(), 1000u);
 

@@ -1,7 +1,7 @@
 // Tests for the telescope federation layer: aperture partitioning, the
-// per-sensor sighting ledger, the cross-site K-way re-merge, the
-// federation stage's demux/drop/merge semantics — and the determinism
-// matrix the tentpole promises: the merged feed (export, outbox, API
+// per-sensor sighting ledger, the federation stage's attribution / drop
+// semantics and its input-order (stable filter) guarantee — and the
+// determinism matrix: the federated feed (export, outbox, API
 // bodies) is byte-identical across site counts {1, 2, 4} x skew profiles
 // x outage profiles x producers x shards x annotate-workers, with
 // per-sensor first-seen attribution asserted on the multi-site runs.
@@ -15,6 +15,7 @@
 #include "api/server.h"
 #include "feed/export.h"
 #include "inet/population.h"
+#include "net/wire.h"
 #include "pipeline/exiot.h"
 #include "pipeline/federation.h"
 #include "telescope/site.h"
@@ -81,30 +82,6 @@ TEST(SightingTableTest, SurvivesGrowth) {
   EXPECT_EQ(s[0].first_seen, seconds(7));
 }
 
-// ------------------------------------------------------ FederatedMerge ----
-
-TEST(FederatedMergeTest, ReplaysCanonicalOrderAcrossSites) {
-  telescope::FederatedMerge merge;
-  merge.assign(3);
-  // A canonical batch of 8 rows demuxed round-robin-ish across 3 sites;
-  // equal timestamps are broken by seq (the row index).
-  const TimeMicros ts[8] = {1, 2, 2, 3, 3, 3, 9, 9};
-  const std::size_t site_of[8] = {0, 1, 0, 2, 1, 0, 2, 1};
-  for (std::uint32_t i = 0; i < 8; ++i) {
-    net::Packet pkt;
-    pkt.ts = ts[i];
-    merge.queue(site_of[i]).push_back(telescope::SiteRow{pkt, i});
-  }
-  std::vector<std::uint32_t> order;
-  merge.drain([&](const telescope::SiteRow& row, std::size_t site) {
-    EXPECT_EQ(site_of[row.seq], site);
-    order.push_back(row.seq);
-  });
-  EXPECT_EQ(order, (std::vector<std::uint32_t>{0, 1, 2, 3, 4, 5, 6, 7}));
-  // Queues are cleared: a second drain emits nothing.
-  merge.drain([&](const telescope::SiteRow&, std::size_t) { FAIL(); });
-}
-
 // ----------------------------------------------------- FederationStage ----
 
 /// A source streaming one crafted batch.
@@ -149,6 +126,66 @@ TEST(FederationStageTest, DemuxesRecordsAndDropsDarkApertures) {
   EXPECT_EQ(sightings[0].sensor, "site0");
   EXPECT_EQ(sightings[0].aperture, "44.0.0.0/9");
   EXPECT_EQ(sightings[0].first_seen, seconds(1));
+}
+
+// Quarter of the /8 (site at 4 sites) each row of regressing_batch()
+// lands in.
+constexpr int kQuarterOf[8] = {0, 3, 1, 2, 0, 1, 3, 2};
+
+/// A batch whose timestamps step back, as a replayed capture's may,
+/// spread over all four quarters of the telescope.
+net::PacketBatch regressing_batch() {
+  const TimeMicros ts[8] = {seconds(5), seconds(3), seconds(3), seconds(9),
+                            seconds(1), seconds(9), seconds(2), seconds(4)};
+  net::PacketBatch batch;
+  for (int i = 0; i < 8; ++i) {
+    const auto octet = static_cast<std::uint8_t>(kQuarterOf[i] * 64 + 10);
+    batch.push_back(net::make_syn(
+        ts[i], Ipv4(203, 0, 113, static_cast<std::uint8_t>(1 + i)),
+        Ipv4(44, octet, 0, 1), static_cast<std::uint16_t>(40000 + i), 23));
+  }
+  return batch;
+}
+
+/// The wire bytes of every row a federation at (sites, active) forwards.
+std::vector<std::vector<std::uint8_t>> forwarded_rows(
+    int sites, int active, const net::PacketBatch& batch) {
+  FederationConfig config;
+  config.telescope = Cidr(Ipv4(44, 0, 0, 0), 8);
+  config.num_sites = sites;
+  config.active_sites = active;
+  FederationStage stage(config);
+  std::vector<std::vector<std::uint8_t>> rows;
+  const std::size_t forwarded =
+      stage.run_window(one_batch(batch), [&](const net::PacketBatch& out) {
+        for (const net::Packet& p : out.packets()) {
+          rows.push_back(net::serialize(p));
+        }
+      });
+  EXPECT_EQ(forwarded, rows.size());
+  return rows;
+}
+
+TEST(FederationStageTest, RegressingTimestampsKeepInputOrder) {
+  const net::PacketBatch batch = regressing_batch();
+  const auto single = forwarded_rows(1, 0, batch);
+  ASSERT_EQ(single.size(), batch.size());
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    EXPECT_EQ(single[i], net::serialize(batch[i])) << "row " << i;
+  }
+  EXPECT_EQ(forwarded_rows(4, 0, batch), single);
+}
+
+TEST(FederationStageTest, DarkSiteFilterKeepsInputOrder) {
+  const net::PacketBatch batch = regressing_batch();
+  // Sites 0-2 active, site 3 dark: the other quarters' rows, in input
+  // order.
+  std::vector<std::vector<std::uint8_t>> lit;
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    if (kQuarterOf[i] != 3) lit.push_back(net::serialize(batch[i]));
+  }
+  ASSERT_EQ(lit.size(), 6u);
+  EXPECT_EQ(forwarded_rows(4, 3, batch), lit);
 }
 
 TEST(FederationStageTest, SkewColorsAttributionOnly) {

@@ -195,9 +195,18 @@ std::string ingest_event_log(int shards) {
   config.batch_size = 32;
   ThreadedIngest ingest(config, flow::DetectorConfig{}, std::move(sink),
                         {23, 80});
-  ingest.run_hour(
-      [&packets](const ThreadedIngest::PacketFn& fn) {
-        for (const auto& pkt : packets) fn(pkt);
+  ingest.run_hour_batched(
+      [&packets](const ThreadedIngest::BatchFn& fn) {
+        // Source batches of 50 rows: the shard batches (32) straddle them.
+        net::PacketBatch batch;
+        for (const auto& pkt : packets) {
+          batch.push_back(pkt);
+          if (batch.size() == 50) {
+            fn(batch);
+            batch.clear();
+          }
+        }
+        if (!batch.empty()) fn(batch);
         return packets.size();
       },
       kMicrosPerHour);

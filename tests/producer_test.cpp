@@ -1,10 +1,11 @@
 // Tests for the parallel traffic producer (pipeline/producer.h): the
 // packet-stream determinism guarantee at every producer count, the full
-// producers x shards pipeline matrix, the close-while-producing shutdown
-// path, and the batching/metrics accounting.
+// producers x shards pipeline matrix, the consumer-gone shutdown path, and
+// the batching/metrics accounting.
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <stdexcept>
 #include <vector>
 
 #include "feed/export.h"
@@ -14,7 +15,7 @@
 #include "pipeline/exiot.h"
 #include "pipeline/ingest.h"
 #include "pipeline/producer.h"
-#include "telescope/synthesizer.h"
+#include "reference_merge.h"
 
 namespace exiot::pipeline {
 namespace {
@@ -41,8 +42,11 @@ std::vector<net::Packet> producer_stream(const inet::Population& pop,
   config.queue_capacity = 2;
   ParallelProducer producer(pop, aperture, config);
   std::vector<net::Packet> out;
-  const std::size_t count = producer.emit(
-      t0, t1, [&out](const net::Packet& pkt) { out.push_back(pkt); });
+  const std::size_t count = producer.emit_batches(
+      t0, t1, 100, [&out](const net::PacketBatch& batch) {
+        EXPECT_LE(batch.size(), 100u);
+        for (const net::Packet& pkt : batch.packets()) out.push_back(pkt);
+      });
   EXPECT_EQ(count, out.size());
   return out;
 }
@@ -53,12 +57,10 @@ TEST(ParallelProducerTest, PacketStreamIdenticalAtEveryProducerCount) {
   const Cidr aperture(Ipv4(44, 0, 0, 0), 8);
   auto pop = small_population(aperture);
 
-  // Reference: the original single-threaded synthesizer merge.
-  std::vector<net::Packet> reference;
-  telescope::TrafficSynthesizer synth(pop, aperture);
-  synth.emit(0, hours(2), [&reference](const net::Packet& pkt) {
-    reference.push_back(pkt);
-  });
+  // Reference: every host's stream drained on its own, then sorted by
+  // (ts, host index).
+  const std::vector<net::Packet> reference =
+      oracle::reference_merge(pop, aperture, 0, hours(2));
   ASSERT_GT(reference.size(), 1000u);
 
   for (const int producers : {1, 2, 4}) {
@@ -84,9 +86,12 @@ TEST(ParallelProducerTest, WindowedEmitMatchesWholeRun) {
   ParallelProducer producer(pop, aperture, config);
   std::vector<net::Packet> windowed;
   for (int h = 0; h < 3; ++h) {
-    producer.emit(hours(h), hours(h + 1), [&windowed](const net::Packet& p) {
-      windowed.push_back(p);
-    });
+    producer.emit_batches(hours(h), hours(h + 1), 256,
+                          [&windowed](const net::PacketBatch& batch) {
+                            for (const net::Packet& p : batch.packets()) {
+                              windowed.push_back(p);
+                            }
+                          });
   }
   ASSERT_EQ(windowed.size(), whole.size());
   for (std::size_t i = 0; i < windowed.size(); ++i) {
@@ -125,9 +130,9 @@ std::string ingest_log_at(int producers, int shards) {
   config.batch_size = 32;
   ThreadedIngest ingest(config, flow::DetectorConfig{}, std::move(sink),
                         {23, 80, 8080});
-  ingest.run_hour(
-      [&producer](const ThreadedIngest::PacketFn& fn) {
-        return producer.emit(0, kMicrosPerHour, fn);
+  ingest.run_hour_batched(
+      [&producer](const ThreadedIngest::BatchFn& fn) {
+        return producer.emit_batches(0, kMicrosPerHour, 100, fn);
       },
       kMicrosPerHour);
   ingest.finish();
@@ -193,35 +198,31 @@ TEST(ParallelProducerTest, FeedInvariantAcrossProducerShardMatrix) {
 // --------------------------------------------------------- Shutdown ----
 
 TEST(ParallelProducerTest, StopsCleanlyWhileProducersAreBlocked) {
-  // A consumer that stops after a prefix, with producers=4 and tiny
-  // queues so the workers are parked on blocked pushes when the stop
-  // lands: emit must close the queues, unwind the workers, and return
-  // without deadlock; the destructor must also be clean.
+  // A consumer that gives up after a prefix, with producers=4 and tiny
+  // queues so the workers are parked on blocked pushes when its exception
+  // unwinds emit_batches: destroying the producer must close the queues,
+  // unwind the workers and join them without deadlock.
   const Cidr aperture(Ipv4(44, 0, 0, 0), 8);
   auto pop = small_population(aperture);
   ProducerConfig config;
   config.num_producers = 4;
   config.batch_size = 64;
   config.queue_capacity = 1;
-  ParallelProducer producer(pop, aperture, config);
   std::size_t seen = 0;
-  const std::size_t count =
-      producer.emit(0, kMicrosPerDay, [&seen](const net::Packet&) {
-        return ++seen < 500;
-      });
+  {
+    ParallelProducer producer(pop, aperture, config);
+    EXPECT_THROW(producer.emit_batches(
+                     0, kMicrosPerDay, 50,
+                     [&seen](const net::PacketBatch& batch) {
+                       seen += batch.size();
+                       if (seen >= 500) {
+                         throw std::runtime_error("consumer gone");
+                       }
+                     }),
+                 std::runtime_error);
+    // The destructor runs here with mid-window workers — must not hang.
+  }
   EXPECT_EQ(seen, 500u);
-  EXPECT_EQ(count, 499u);  // The refusing call is not counted as emitted.
-  // Destructor runs here with mid-window worker state — must not hang.
-}
-
-TEST(ParallelProducerTest, SerialStopIsCleanToo) {
-  const Cidr aperture(Ipv4(44, 0, 0, 0), 8);
-  auto pop = small_population(aperture);
-  ParallelProducer producer(pop, aperture, ProducerConfig{});
-  std::size_t seen = 0;
-  (void)producer.emit(0, kMicrosPerDay,
-                      [&seen](const net::Packet&) { return ++seen < 100; });
-  EXPECT_EQ(seen, 100u);
 }
 
 // ------------------------------------------------ Batching + metrics ----
@@ -235,8 +236,10 @@ TEST(ParallelProducerTest, BatchAndPacketAccounting) {
   config.batch_size = 128;
   ParallelProducer producer(pop, aperture, config, &registry);
   std::size_t delivered = 0;
-  producer.emit(0, kMicrosPerHour,
-                [&delivered](const net::Packet&) { ++delivered; });
+  producer.emit_batches(0, kMicrosPerHour, 256,
+                        [&delivered](const net::PacketBatch& batch) {
+                          delivered += batch.size();
+                        });
   EXPECT_GT(delivered, 0u);
   EXPECT_EQ(producer.packets_emitted(), delivered);
   EXPECT_EQ(registry.counter_value("exiot_producer_packets_total"),
@@ -260,7 +263,8 @@ TEST(ParallelProducerTest, PrunesExhaustedStreamsAcrossWindows) {
   // By late in the day most sessions have ended; pruned streams must
   // leave the live lists and stop being rescanned at window entry.
   for (int h = 0; h < 24; ++h) {
-    producer.emit(hours(h), hours(h + 1), [](const net::Packet&) {});
+    producer.emit_batches(hours(h), hours(h + 1), 1024,
+                          [](const net::PacketBatch&) {});
   }
   EXPECT_GT(producer.streams_pruned(), 0u);
   EXPECT_LT(producer.live_streams(), live_start);

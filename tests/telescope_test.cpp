@@ -43,6 +43,30 @@ TEST_F(SynthesizerTest, PacketsAreTimeOrderedAndInWindow) {
     last = p.ts;
   });
   EXPECT_GT(n, 1000u);
+
+  // Hour by hour over three days: reappearance sessions can start while
+  // a host's earlier session is still running, and its stream must not
+  // step back in time — a stepped-back packet lands in a later hour's
+  // window.
+  inet::PopulationConfig config = tiny_config();
+  config.days = 3;
+  config.seed = 42;
+  const inet::Population pop = inet::Population::generate(config, world_);
+  TrafficSynthesizer hourly(pop, scope());
+  std::size_t total = 0;
+  std::size_t step_backs = 0;
+  std::size_t out_of_window = 0;
+  last = -1;
+  for (int h = 0; h < 4 * 24; ++h) {
+    total += hourly.run(hours(h), hours(h + 1), [&](const net::Packet& p) {
+      if (p.ts < last) ++step_backs;
+      if (p.ts < hours(h) || p.ts >= hours(h + 1)) ++out_of_window;
+      last = p.ts;
+    });
+  }
+  EXPECT_GT(total, n);
+  EXPECT_EQ(step_backs, 0u);
+  EXPECT_EQ(out_of_window, 0u);
 }
 
 TEST_F(SynthesizerTest, AllDestinationsInsideAperture) {

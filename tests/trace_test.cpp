@@ -182,5 +182,30 @@ TEST_F(HourlyWriterTest, DestructorFlushesOpenHour) {
   EXPECT_EQ(n.value(), 1u);
 }
 
+TEST_F(HourlyWriterTest, SteppingBackIntoAWrittenHourIsAnError) {
+  const std::vector<net::Packet> hour0 = {probe(minutes(10), 1, 23),
+                                          probe(minutes(20), 2, 23)};
+  {
+    HourlyTraceWriter writer(dir_);
+    for (const auto& p : hour0) ASSERT_TRUE(writer.add(p).ok());
+    ASSERT_TRUE(writer.add(probe(hours(1) + minutes(5), 3, 23)).ok());
+    // Hour 0's file is already written: a stray packet must not reopen
+    // (and truncate) it.
+    EXPECT_FALSE(writer.add(probe(minutes(30), 4, 23)).ok());
+    ASSERT_TRUE(writer.close().ok());
+    // Nor may the closed hour 1 be reopened.
+    EXPECT_FALSE(writer.add(probe(hours(1) + minutes(6), 5, 23)).ok());
+  }
+  std::vector<net::Packet> seen;
+  auto n = read_trace_file(dir_ / HourlyTraceWriter::file_name(0),
+                           [&](const net::Packet& p) { seen.push_back(p); });
+  ASSERT_TRUE(n.ok());
+  EXPECT_EQ(seen, hour0);
+  n = read_trace_file(dir_ / HourlyTraceWriter::file_name(1),
+                      [](const net::Packet&) {});
+  ASSERT_TRUE(n.ok());
+  EXPECT_EQ(n.value(), 1u);
+}
+
 }  // namespace
 }  // namespace exiot::trace

@@ -1,6 +1,9 @@
 #!/usr/bin/env bash
-# CI entry point: regular build + full test suite + metrics-name lint,
-# then a ThreadSanitizer build of the concurrency-bearing test binaries
+# CI entry point: regular build + full test suite + metrics-name lint +
+# bench regression gate, then an AddressSanitizer+UndefinedBehavior-
+# Sanitizer build running the whole ctest suite (any report is fatal:
+# -fno-sanitize-recover=all), then a ThreadSanitizer build of the
+# concurrency-bearing test binaries
 # (the threaded ingest stage, the blocking buffer, the epoll API plane —
 # event loops, worker pool, response cache, rate limiter, streaming
 # export, keep-alive, stop-while-serving — the parallel
@@ -9,12 +12,13 @@
 # the committer thread including the kill-at-random-commit recovery test,
 # and concurrent banner-rule matching).
 #
-#   tools/ci.sh [build-dir] [tsan-build-dir]
+#   tools/ci.sh [build-dir] [tsan-build-dir] [asan-build-dir]
 set -eu
 
 cd "$(dirname "$0")/.."
 BUILD="${1:-build}"
 TSAN_BUILD="${2:-build-tsan}"
+ASAN_BUILD="${3:-build-asan}"
 
 echo "== build + test =="
 cmake -B "$BUILD" -S .
@@ -38,6 +42,12 @@ for b in bench_ingest_throughput bench_annotate_throughput \
 done
 sh tools/check_bench_regression.sh "$BENCH_OUT"
 rm -rf "$BENCH_OUT"
+
+echo "== AddressSanitizer + UndefinedBehaviorSanitizer: full ctest suite =="
+cmake -B "$ASAN_BUILD" -S . -DEXIOT_SANITIZE=address,undefined \
+  -DCMAKE_CXX_FLAGS=-fno-sanitize-recover=all
+cmake --build "$ASAN_BUILD" -j"$(nproc)"
+ctest --test-dir "$ASAN_BUILD" --output-on-failure -j"$(nproc)"
 
 echo "== ThreadSanitizer: pipeline / producer / annotate / federation / tracing / durability / fingerprint / flow / telescope / ml / api / batch tests =="
 cmake -B "$TSAN_BUILD" -S . -DEXIOT_SANITIZE=thread

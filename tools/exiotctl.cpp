@@ -4,8 +4,10 @@
 //       Synthesize telescope traffic into hourly trace files (the CAIDA
 //       capture format).
 //   exiotctl replay    --dir DIR
-//       Replay captured hours through the flow detector and print per-hour
-//       telescope statistics.
+//       Replay captured hours through the batched capture->detect path
+//       (trace decode -> ThreadedIngest), expiring idle flows at the end of
+//       each file's hour, and print per-hour packets, scanners detected and
+//       flows ended.
 //   exiotctl simulate  [--scale S] [--days N] [--seed N]
 //                      [--producers N] [--shards N] [--buffer N]
 //                      [--batch-size N] [--annotate-workers N]
@@ -107,6 +109,7 @@
 #include "feed/export.h"
 #include "fingerprint/rules.h"
 #include "pipeline/exiot.h"
+#include "pipeline/ingest.h"
 #include "trace/trace.h"
 #include "ui/dashboard.h"
 
@@ -363,43 +366,75 @@ int cmd_replay(const Args& args) {
     std::fprintf(stderr, "replay: --dir is required\n");
     return 2;
   }
-  std::map<std::string, std::filesystem::path> files;
+  // Hourly trace files (HourlyTraceWriter::file_name), in hour order.
+  std::map<std::int64_t, std::filesystem::path> files;
   for (const auto& entry : std::filesystem::directory_iterator(dir)) {
-    if (entry.path().extension() == ".ext") {
-      files[entry.path().filename().string()] = entry.path();
+    const std::string name = entry.path().filename().string();
+    std::int64_t hour = -1;
+    const std::size_t dash = name.find('-');
+    if (dash != std::string::npos) {
+      std::from_chars(name.data() + dash + 1, name.data() + name.size(),
+                      hour);
+    }
+    if (hour >= 0 && trace::HourlyTraceWriter::file_name(hour) == name) {
+      files[hour] = entry.path();
     }
   }
   if (files.empty()) {
     std::fprintf(stderr, "replay: no trace files in %s\n", dir.c_str());
     return 1;
   }
-  flow::DetectorEvents events;
   std::size_t scanners = 0;
+  std::size_t flows_ended = 0;
+  flow::DetectorEvents events;
   events.on_scanner = [&](const flow::FlowSummary&) { ++scanners; };
-  flow::FlowDetector detector(flow::DetectorConfig{}, std::move(events));
-  std::printf("%-26s %10s %10s\n", "file", "packets", "scanners");
-  for (const auto& [name, path] : files) {
-    const std::size_t before = scanners;
-    auto n = trace::read_trace_file(
-        path, [&](const net::Packet& pkt) { detector.process(pkt); });
-    if (!n.ok()) {
+  events.on_flow_end = [&](const flow::FlowSummary&) { ++flows_ended; };
+  pipeline::ThreadedIngest ingest(pipeline::IngestConfig{},
+                                  flow::DetectorConfig{}, std::move(events));
+  constexpr std::size_t kBatchRows = 1024;
+  net::PacketBatch batch;
+  batch.reserve(kBatchRows);
+  std::printf("%-26s %10s %10s %12s\n", "file", "packets", "scanners",
+              "flows_ended");
+  for (const auto& [hour, path] : files) {
+    const std::string name = path.filename().string();
+    std::ifstream in(path, std::ios::binary);
+    trace::TraceDecoder decoder(std::vector<std::uint8_t>(
+        (std::istreambuf_iterator<char>(in)),
+        std::istreambuf_iterator<char>()));
+    const std::size_t scanners_before = scanners;
+    const std::size_t ended_before = flows_ended;
+    // The file's hour moves through the production capture->detect path;
+    // its idle flows expire at the end of that hour.
+    const std::size_t n = ingest.run_hour_batched(
+        [&](const pipeline::ThreadedIngest::BatchFn& fn) {
+          std::size_t total = 0;
+          while (true) {
+            batch.clear();
+            const std::size_t got = decoder.next_batch(batch, kBatchRows);
+            if (got == 0) break;
+            total += got;
+            fn(batch);
+          }
+          return total;
+        },
+        (hour + 1) * kMicrosPerHour);
+    if (!decoder.last_error().empty()) {
       std::fprintf(stderr, "replay: %s: %s\n", name.c_str(),
-                   n.error().message.c_str());
+                   decoder.last_error().c_str());
       return 1;
     }
-    detector.end_of_hour(
-        (detector.stats().packets_processed > 0 ? 1 : 0) * kMicrosPerHour +
-        kMicrosPerHour);
-    std::printf("%-26s %10zu %10zu\n", name.c_str(), n.value(),
-                scanners - before);
+    std::printf("%-26s %10zu %10zu %12zu\n", name.c_str(), n,
+                scanners - scanners_before, flows_ended - ended_before);
   }
-  detector.finish();
-  const auto& stats = detector.stats();
+  ingest.finish();
+  const flow::DetectorStats stats = ingest.stats();
   std::printf("total: %llu packets, %llu backscatter filtered, "
-              "%llu scanners detected\n",
+              "%llu scanners detected, %llu flows ended\n",
               static_cast<unsigned long long>(stats.packets_processed),
               static_cast<unsigned long long>(stats.backscatter_filtered),
-              static_cast<unsigned long long>(stats.scanners_detected));
+              static_cast<unsigned long long>(stats.scanners_detected),
+              static_cast<unsigned long long>(stats.flows_ended));
   return 0;
 }
 
