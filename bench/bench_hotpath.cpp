@@ -1,5 +1,6 @@
 // Micro-throughput of the batched SoA hot-path stages against their
-// scalar equivalents, on one synthesized capture hour:
+// scalar equivalents, on one synthesized capture hour, plus the synthesizer
+// itself:
 //
 //   decode      — TraceDecoder::next() per packet vs next_batch() filling
 //     a PacketBatch (header overlay, no per-packet Result).
@@ -8,6 +9,9 @@
 //   forest      — RandomForest::predict_score per row vs the
 //     tree-outer/row-inner predict_scores_into batch walk. The batched
 //     scores are bit-identical (asserted here, not just in tests).
+//   synth       — serial TrafficSynthesizer::emit_batches over the first
+//     kSynthHours of the population (the telescope merge core alone; a
+//     fresh synthesizer per repetition, its construction untimed).
 //
 //   ./bench_hotpath            (EXIOT_SCALE=0.2 EXIOT_SEED=42)
 //
@@ -39,8 +43,12 @@ double env_double(const char* name, double fallback) {
   return value != nullptr ? std::atof(value) : fallback;
 }
 
-/// The pipeline's default decode_batch_size.
+/// Rows per batch in every table (the pipeline's default
+/// decode_batch_size is 512; the committed baseline was taken at 1024).
 constexpr std::size_t kBatch = 1024;
+
+/// Traffic hours the synth table emits per repetition.
+constexpr int kSynthHours = 6;
 
 /// Keeps `value` observable so the compiler cannot elide the benched loop.
 template <typename T>
@@ -235,6 +243,25 @@ int main() {
   const Row forest_rows[] = {{"scalar", forest_scalar},
                              {"batch", forest_batch}};
   print_table(json, "forest", "records_per_s", "records/s", forest_rows, 2);
+  if (json != nullptr) std::fprintf(json, ",\n");
+
+  // --- Synthesis: the merge core over a multi-hour window. ---
+  double synth_pps = 0.0;
+  for (int rep = 0; rep < 5; ++rep) {
+    telescope::TrafficSynthesizer fresh(population, aperture);
+    std::size_t rows = 0;
+    const auto start = std::chrono::steady_clock::now();
+    const std::size_t n = fresh.emit_batches(
+        0, hours(kSynthHours), kBatch,
+        [&rows](const net::PacketBatch& batch) { rows += batch.size(); });
+    const double elapsed = std::chrono::duration<double>(
+                               std::chrono::steady_clock::now() - start)
+                               .count();
+    sink(rows);
+    synth_pps = std::max(synth_pps, static_cast<double>(n) / elapsed);
+  }
+  const Row synth_rows[] = {{"serial", synth_pps}};
+  print_table(json, "synth", "pps", "pps", synth_rows, 1);
 
   if (json != nullptr) {
     std::fprintf(json, "\n}\n");

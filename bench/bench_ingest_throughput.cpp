@@ -91,8 +91,8 @@ double run_live(const inet::Population& population, Cidr aperture,
                                   flow::DetectorEvents{},
                                   probe::table1_ports(), nullptr, tracer);
   const auto start = std::chrono::steady_clock::now();
-  // Live runs take the batched SoA path end to end (synthesis directly
-  // into batch rows, batch-wide backscatter filtering), the same route
+  // Live runs take the batched SoA path end to end (synthesis into batch
+  // rows, batch-wide backscatter filtering), the same route
   // ExIotPipeline::run_hours drives in production.
   const std::size_t count = ingest.run_hour_batched(
       [&producer](const pipeline::ThreadedIngest::BatchFn& fn) {

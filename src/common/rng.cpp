@@ -13,10 +13,6 @@ std::uint64_t splitmix64(std::uint64_t& state) {
   return z ^ (z >> 31);
 }
 
-constexpr std::uint64_t rotl(std::uint64_t x, int k) {
-  return (x << k) | (x >> (64 - k));
-}
-
 }  // namespace
 
 Rng::Rng(std::uint64_t seed) {
@@ -25,48 +21,6 @@ Rng::Rng(std::uint64_t seed) {
 }
 
 Rng Rng::split() { return Rng(next_u64() ^ 0xA5A5A5A5DEADBEEFull); }
-
-std::uint64_t Rng::next_u64() {
-  const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
-  const std::uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = rotl(s_[3], 45);
-  return result;
-}
-
-std::uint64_t Rng::next_below(std::uint64_t bound) {
-  // Lemire's nearly-divisionless bounded sampling; bias is negligible for
-  // simulation purposes (< 2^-64 * bound).
-  return static_cast<std::uint64_t>(
-      (static_cast<unsigned __int128>(next_u64()) * bound) >> 64);
-}
-
-std::int64_t Rng::uniform_int(std::int64_t lo, std::int64_t hi) {
-  return lo + static_cast<std::int64_t>(
-                  next_below(static_cast<std::uint64_t>(hi - lo) + 1));
-}
-
-double Rng::next_double() {
-  return static_cast<double>(next_u64() >> 11) * 0x1.0p-53;
-}
-
-double Rng::uniform(double lo, double hi) {
-  return lo + (hi - lo) * next_double();
-}
-
-bool Rng::bernoulli(double p) { return next_double() < p; }
-
-double Rng::exponential(double rate) {
-  double u;
-  do {
-    u = next_double();
-  } while (u == 0.0);
-  return -std::log(u) / rate;
-}
 
 double Rng::normal(double mean, double stddev) {
   if (has_cached_normal_) {
@@ -109,19 +63,6 @@ std::size_t Rng::weighted_index(const std::vector<double>& weights,
     if (target < acc) return i;
   }
   return weights.size() - 1;
-}
-
-std::size_t Rng::weighted_index_prefix(std::span<const double> prefix) {
-  const double target = next_double() * prefix.back();
-  // Count prefix entries <= target: equals the first index whose running
-  // sum exceeds the target — the same index (and the same single draw)
-  // weighted_index returns, including its last-bucket fallback.
-  std::size_t idx = 0;
-  const std::size_t last = prefix.size() - 1;
-  for (std::size_t i = 0; i < last; ++i) {
-    idx += static_cast<std::size_t>(target >= prefix[i]);
-  }
-  return idx;
 }
 
 }  // namespace exiot

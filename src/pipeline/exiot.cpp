@@ -401,7 +401,7 @@ void ExIotPipeline::run_hours(std::int64_t first_hour,
     const TimeMicros start = hour * kMicrosPerHour;
     const TimeMicros end = start + kMicrosPerHour;
     // The hour moves through capture->detect in SoA batches: the producer
-    // synthesizes straight into PacketBatch rows, the federation stage
+    // synthesizes into PacketBatch rows, the federation stage
     // records each row's sighting and drops dark apertures' rows in one
     // pass (a pass-through at num_sites == 1), and the ingest stage
     // filters each batch with one backscatter sweep (see net/batch.h).

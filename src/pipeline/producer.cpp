@@ -135,7 +135,7 @@ void ParallelProducer::produce(std::size_t p, Partition& part,
   // in place, so that reference stays valid across hand-offs.
   telescope::emit_window_rows(
       part.streams, part.hosts.data(), part.live, t0, t1, part.pruned,
-      batch.pkts,
+      part.merge, batch.pkts,
       [this, &batch, &build_start, &flush, tracing](std::uint32_t host) {
         batch.hosts.push_back(host);
         const std::size_t n = batch.pkts.size();

@@ -3,12 +3,13 @@
 // capture->detect stage was sharded (pipeline/ingest.h) the single-threaded
 // synthesizer merge became the pipeline's serial bottleneck. This stage
 // partitions the host streams round-robin across K producer threads; each
-// thread runs the synthesizer's merge core (telescope::emit_window_rows)
-// over its partition, synthesizing straight into fixed-size, time-bounded
-// packet batches that it pushes into a per-producer BoundedBuffer. A
-// merger on the calling thread performs a deterministic K-way merge over
-// the producer queues by (ts, host_index) — the same total order the
-// serial synthesizer emits — and re-batches the rows for the caller.
+// thread runs the synthesizer's merge core (telescope::emit_window_rows,
+// slice by slice, over the partition's own SliceMerge scratch) and fills
+// fixed-size, time-bounded packet batches that it pushes into a
+// per-producer BoundedBuffer. A merger on the calling thread performs a
+// deterministic K-way merge over the producer queues by (ts, host_index) —
+// the same total order the serial synthesizer emits — and re-batches the
+// rows for the caller.
 //
 // Because every partition's stream is sorted by (ts, host_index) and host
 // indices are disjoint across partitions, the head-of-queue merge
@@ -17,9 +18,8 @@
 // for any (producer_threads x detector_shards) combination.
 //
 // `num_producers == 1` short-circuits to a fully serial emit on the
-// calling thread (no queues, no threads) with the same live-list and
-// in-place row fast paths, so the baseline configuration pays nothing for
-// the machinery.
+// calling thread (no queues, no threads) with the same live list and slice
+// merge, so the baseline configuration pays nothing for the machinery.
 #pragma once
 
 #include <cstdint>
@@ -81,9 +81,9 @@ class ParallelProducer {
   /// Emits every packet with ts in [t0, t1) in the canonical
   /// (ts, host_index) arrival order, delivered as SoA batches of
   /// `batch_size` rows via `fn(const net::PacketBatch&)` (void return; the
-  /// batch is borrowed only for the call). The serial fallback synthesizes
-  /// directly into batch rows; with K > 1 producers the K-way merge output
-  /// is re-batched on the calling thread. Returns the number of packets
+  /// batch is borrowed only for the call). The serial fallback runs the
+  /// merge core on the calling thread; with K > 1 producers the K-way merge
+  /// output is re-batched on the calling thread. Returns the number of packets
   /// delivered. If `fn` throws, the window is abandoned mid-merge: destroy
   /// the producer (its destructor closes the queues, which unblocks the
   /// workers, and joins them).
@@ -99,7 +99,7 @@ class ParallelProducer {
       batch_.reserve(batch_size);
       const std::size_t count = telescope::emit_window_batch(
           part.streams, part.hosts.data(), part.live, t0, t1, part.pruned,
-          batch_size, batch_, fn);
+          batch_size, part.merge, batch_, fn);
       pruned_c_->inc(part.pruned - pruned_before);
       packets_c_->inc(count);
       return count;
@@ -121,13 +121,14 @@ class ParallelProducer {
 
  private:
   /// One producer thread's share of the host streams. During a threaded
-  /// window, `streams`/`live`/`pruned`/`dead_scans_avoided` are touched
-  /// only by the partition's worker thread; between windows only the
-  /// calling thread reads them (the worker is joined).
+  /// window, `streams`/`live`/`merge`/`pruned`/`dead_scans_avoided` are
+  /// touched only by the partition's worker thread; between windows only
+  /// the calling thread reads them (the worker is joined).
   struct Partition {
     std::vector<telescope::HostStream> streams;
     std::vector<std::uint32_t> hosts;  // Local slot -> global host index.
     std::vector<std::uint32_t> live;   // Local slots, compacted.
+    telescope::SliceMerge merge;       // Merge scratch, reused per window.
     std::unique_ptr<BoundedBuffer<ProducerBatch>> queue;  // K > 1 only.
     std::size_t pruned = 0;
     std::uint64_t dead_scans_avoided = 0;

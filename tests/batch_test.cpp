@@ -524,8 +524,8 @@ TEST(ForestBatch, BatchedTreeScoresBitIdentical) {
   }
 }
 
-// The synthesizer's merge is a tournament tree emitting straight into
-// batch rows; this pins its output against the brute-force reference
+// The synthesizer's merge emits host-major slices, radix-sorted into
+// arrival order; this pins its output against the brute-force reference
 // (every host stream drained on its own, sorted by (ts, host index)) at
 // every batch size, across window boundaries.
 TEST(SynthBatch, EmitBatchesMatchesScalarEmit) {

@@ -199,6 +199,11 @@ struct OptionCase {
   TcpOptions opts;
 };
 
+// Prints the case name, which CTest then uses as the test's name. Without it
+// gtest dumps the struct's bytes, including the address of `name`, so the
+// discovered test names would change with every run of the binary.
+void PrintTo(const OptionCase& c, std::ostream* os) { *os << c.name; }
+
 class TcpOptionRoundTrip : public ::testing::TestWithParam<OptionCase> {};
 
 TEST_P(TcpOptionRoundTrip, RoundTrips) {
@@ -240,10 +245,7 @@ INSTANTIATE_TEST_SUITE_P(
                      o.ts_val = 0xDEADBEEF;
                      o.nop = true;
                      o.sack_permitted = true;
-                   })}),
-    [](const ::testing::TestParamInfo<OptionCase>& info) {
-      return info.param.name;
-    });
+                   })}));
 
 }  // namespace
 }  // namespace exiot::net

@@ -1,8 +1,8 @@
 // Brute-force oracle for the telescope's window merge: drains every host's
 // stream on its own to the end, keeps the packets with ts in [t0, t1),
 // then stable-sorts them by (ts, host index) — the canonical arrival order
-// the loser-tree merge (telescope::emit_window_rows) must reproduce at
-// every producer-thread count. Simple rather than fast: for tests.
+// the slice merge (telescope::emit_window_rows) must reproduce at every
+// producer-thread count. Simple rather than fast: for tests.
 #pragma once
 
 #include <algorithm>

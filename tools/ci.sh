@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # CI entry point: regular build + full test suite + metrics-name lint +
-# bench regression gate, then an AddressSanitizer+UndefinedBehavior-
+# bench regression gate + a build and smoke run of the repository
+# benchmark (perfbench/), then an AddressSanitizer+UndefinedBehavior-
 # Sanitizer build running the whole ctest suite (any report is fatal:
 # -fno-sanitize-recover=all), then a ThreadSanitizer build of the
 # concurrency-bearing test binaries
@@ -42,6 +43,24 @@ for b in bench_ingest_throughput bench_annotate_throughput \
 done
 sh tools/check_bench_regression.sh "$BENCH_OUT"
 rm -rf "$BENCH_OUT"
+
+echo "== repository benchmark: harness tests + 2 s smoke runs =="
+# run.py exits 0 even when a workload's gate fails, so each result line
+# (the last line of output) is checked for correct == true, failed == 0.
+python3 perfbench/run.py --test
+for w in feed replay; do
+  echo "-- perfbench: $w"
+  out=$(python3 perfbench/run.py --workload "$w" --seconds 2)
+  printf '%s\n' "$out" | tail -n 1 | python3 -c '
+import json, sys
+r = json.loads(sys.stdin.read())
+if r.get("correct") is not True or r.get("failed") != 0:
+    sys.exit("perfbench %s: correct=%s failed=%s"
+             % (sys.argv[1], r.get("correct"), r.get("failed")))
+print("ok   perfbench %s: %d operations, 0 failed"
+      % (sys.argv[1], r["attempted"]))
+' "$w"
+done
 
 echo "== AddressSanitizer + UndefinedBehaviorSanitizer: full ctest suite =="
 cmake -B "$ASAN_BUILD" -S . -DEXIOT_SANITIZE=address,undefined \
