@@ -13,7 +13,7 @@
 //   merge — federated pipeline pps at 1/2/4/8 sites with every site
 //     active. sites=1 exercises the single-site passthrough (must stay
 //     at the unfederated baseline); the rest price the federation filter
-//     on the hot path: one pass over each batch's dst lane recording
+//     on the hot path: one pass over each batch's rows recording
 //     per-site sightings, the input batch forwarded as is. (The table
 //     keeps its historical "merge" key so the committed baseline still
 //     gates it.)

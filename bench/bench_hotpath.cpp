@@ -1,11 +1,11 @@
-// Micro-throughput of the batched SoA hot-path stages against their
-// scalar equivalents, on one synthesized capture hour, plus the synthesizer
+// Micro-throughput of the hot-path stages on one synthesized capture
+// hour (batched against per-item where both exist), plus the synthesizer
 // itself:
 //
 //   decode      — TraceDecoder::next() per packet vs next_batch() filling
 //     a PacketBatch (header overlay, no per-packet Result).
-//   backscatter — per-packet net::is_backscatter vs the batch-wide
-//     net::backscatter_mask flat-lane pass (auto-vectorized).
+//   backscatter — net::is_backscatter per packet, the filter
+//     FlowDetector::process applies to every packet.
 //   forest      — RandomForest::predict_score per row vs the
 //     tree-outer/row-inner predict_scores_into batch walk. The batched
 //     scores are bit-identical (asserted here, not just in tests).
@@ -160,41 +160,16 @@ int main() {
   print_table(json, "decode", "pps", "pps", decode_rows, 2);
   if (json != nullptr) std::fprintf(json, ",\n");
 
-  // --- Backscatter filter: per-packet predicate vs flat-lane mask. ---
-  // The batches are materialized (and their lanes synced) up front: in the
-  // pipeline the producer/decoder hands the detector a filled batch, so
-  // the filter stage's cost is the mask pass itself, not the row fill —
-  // that cost is what the decode table and the ingest bench carry.
-  std::vector<net::PacketBatch> batches;
-  for (std::size_t i = 0; i < packets.size(); i += kBatch) {
-    const std::size_t n = std::min(kBatch, packets.size() - i);
-    net::PacketBatch& batch = batches.emplace_back();
-    batch.reserve(n);
-    for (std::size_t j = 0; j < n; ++j) batch.push_back(packets[i + j]);
-    sink(batch.ts());  // Sync lanes now; the filter pass is what we time.
-  }
+  // --- Backscatter filter: the per-packet predicate. ---
   const double filter_scalar = best_throughput(5, [&packets] {
     std::size_t hits = 0;
     for (const auto& pkt : packets) hits += net::is_backscatter(pkt);
     sink(hits);
     return packets.size();
   });
-  const double filter_batch = best_throughput(5, [&packets, &batches] {
-    std::vector<std::uint8_t> mask(kBatch);
-    std::size_t hits = 0;
-    for (const net::PacketBatch& batch : batches) {
-      net::backscatter_mask(batch, mask.data());
-      for (std::size_t j = 0; j < batch.size(); ++j) hits += mask[j];
-    }
-    sink(hits);
-    return packets.size();
-  });
-  const Row filter_rows[] = {{"scalar", filter_scalar},
-                             {"batch", filter_batch}};
-  print_table(json, "backscatter", "pps", "pps", filter_rows, 2);
+  const Row filter_rows[] = {{"scalar", filter_scalar}};
+  print_table(json, "backscatter", "pps", "pps", filter_rows, 1);
   if (json != nullptr) std::fprintf(json, ",\n");
-  batches.clear();
-  batches.shrink_to_fit();  // ~13 MB; keep the forest heap compact.
 
   // --- Forest inference: row-outer scalar walk vs tree-outer batch. ---
   Rng rng(seed);
@@ -269,10 +244,10 @@ int main() {
     std::printf("wrote %s\n",
                 benchx::bench_json_path("BENCH_hotpath.json").c_str());
   }
-  std::printf("\nbatch decode and filter ratios reflect per-packet call "
-              "overhead removed by the SoA path; the forest tree-outer "
-              "level sweep removes the ~50%%-mispredicted child branch "
-              "and typically lands ~3x the row-outer scalar walk here "
-              "(more on wider out-of-order cores).\n");
+  std::printf("\nthe batch decode ratio reflects per-packet call "
+              "overhead removed by next_batch's header overlay; the forest "
+              "tree-outer level sweep removes the ~50%%-mispredicted child "
+              "branch and typically lands ~3x the row-outer scalar walk "
+              "here (more on wider out-of-order cores).\n");
   return mismatches == 0 ? 0 : 1;
 }

@@ -1,6 +1,6 @@
 // Throughput of the capture->detect stage, in two modes:
 //
-//   replay — one pre-synthesized hour, held as 1024-row SoA batches,
+//   replay — one pre-synthesized hour, held as 1024-row packet batches,
 //     pushed through ThreadedIngest::run_hour_batched (the production
 //     path) at increasing shard counts. Isolates detector sharding (the
 //     producer cost is a plain vector replay).
@@ -53,8 +53,8 @@ pipeline::ThreadedIngest make_ingest(int shards) {
                                   probe::table1_ports());
 }
 
-/// One pre-synthesized capture hour as the SoA batches a producer or the
-/// trace decoder hands the ingest stage, lanes already synced.
+/// One pre-synthesized capture hour as the packet batches a producer or
+/// the trace decoder hands the ingest stage.
 struct Hour {
   std::vector<net::PacketBatch> batches;
   std::size_t packets = 0;
@@ -91,9 +91,9 @@ double run_live(const inet::Population& population, Cidr aperture,
                                   flow::DetectorEvents{},
                                   probe::table1_ports(), nullptr, tracer);
   const auto start = std::chrono::steady_clock::now();
-  // Live runs take the batched SoA path end to end (synthesis into batch
-  // rows, batch-wide backscatter filtering), the same route
-  // ExIotPipeline::run_hours drives in production.
+  // Live runs take the batch path end to end (synthesis into batch rows,
+  // one detector call per row), the same route ExIotPipeline::run_hours
+  // drives in production.
   const std::size_t count = ingest.run_hour_batched(
       [&producer](const pipeline::ThreadedIngest::BatchFn& fn) {
         return producer.emit_batches(0, kMicrosPerHour, 1024, fn);
@@ -126,7 +126,6 @@ int main() {
   synth.emit_batches(0, kMicrosPerHour, kReplayBatch,
                      [&hour](const net::PacketBatch& batch) {
                        hour.batches.push_back(batch);
-                       (void)hour.batches.back().ts();  // Sync the lanes.
                        hour.packets += batch.size();
                      });
   std::printf("one capture hour: %zu packets (scale %.2f, seed %llu), "

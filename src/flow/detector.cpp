@@ -64,10 +64,6 @@ void FlowDetector::process(const net::Packet& pkt) {
     if (pidx >= 0) ++port_counts_[static_cast<std::size_t>(pidx)];
   }
 
-  update_source(pkt);
-}
-
-void FlowDetector::update_source(const net::Packet& pkt) {
   SourceState& s = table_.find_or_insert(pkt.src.value());
   if (s.packets == 0) {
     s.first_seen = pkt.ts;
@@ -111,41 +107,6 @@ void FlowDetector::update_source(const net::Packet& pkt) {
       s.sample.clear();
       s.sample.shrink_to_fit();
     }
-  }
-}
-
-void FlowDetector::process_batch(const net::PacketBatch& batch,
-                                 const std::uint64_t* lane_seqs,
-                                 std::uint64_t* seq_cursor) {
-  const std::size_t n = batch.size();
-  if (n == 0) return;
-  // One flat pass over the SoA lanes decides backscatter for the whole
-  // batch before any per-row work; the compiler vectorizes it.
-  backscatter_scratch_.resize(n);
-  net::backscatter_mask(batch, backscatter_scratch_.data());
-
-  const TimeMicros* ts = batch.ts();
-  const std::uint8_t* proto = batch.proto();
-  const std::uint16_t* dport = batch.dst_port();
-  const bool have_ports = !report_port_index_.empty();
-  for (std::size_t i = 0; i < n; ++i) {
-    if (seq_cursor) *seq_cursor = lane_seqs[i];
-    roll_second(ts[i]);
-    ++stats_.packets_processed;
-    ++current_report_.total;
-    current_report_.tcp += proto[i] == 6;
-    current_report_.udp += proto[i] == 17;
-    current_report_.icmp += proto[i] == 1;
-    if (backscatter_scratch_[i]) {
-      ++stats_.backscatter_filtered;
-      ++current_report_.backscatter_filtered;
-      continue;
-    }
-    if (have_ports) {
-      const std::int32_t pidx = report_port_index_[dport[i]];
-      if (pidx >= 0) ++port_counts_[static_cast<std::size_t>(pidx)];
-    }
-    update_source(batch[i]);
   }
 }
 

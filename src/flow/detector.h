@@ -15,7 +15,6 @@
 
 #include "common/types.h"
 #include "flow/source_table.h"
-#include "net/batch.h"
 #include "net/packet.h"
 
 namespace exiot::flow {
@@ -83,20 +82,10 @@ class FlowDetector {
   FlowDetector(DetectorConfig config, DetectorEvents events,
                std::vector<std::uint16_t> report_ports = {});
 
-  /// Processes one telescope packet. Packets must arrive in non-decreasing
-  /// timestamp order (the capture is time-sorted).
+  /// Processes one telescope packet — the only way a packet enters
+  /// detection. Packets must arrive in non-decreasing timestamp order (the
+  /// capture is time-sorted).
   void process(const net::Packet& pkt);
-
-  /// Batched variant: replays exactly the decision sequence of calling
-  /// process() on every row of `batch` in order, but evaluates the
-  /// backscatter filter batch-wide over the SoA lanes (one flat
-  /// auto-vectorizable pass) before the per-row flow-table walk. If
-  /// `seq_cursor` is non-null, `*seq_cursor = lane_seqs[i]` is stored
-  /// before row i is processed, so event callbacks that read a shard's
-  /// current-sequence cell observe the same values as the scalar path.
-  void process_batch(const net::PacketBatch& batch,
-                     const std::uint64_t* lane_seqs,
-                     std::uint64_t* seq_cursor);
 
   /// The paper runs the expiry sweep between hours: flushes the open
   /// per-second report (the last second of the hour must not lag into the
@@ -126,9 +115,6 @@ class FlowDetector {
   };
 
   void roll_second(TimeMicros ts);
-  /// Flow-table update shared by process() and process_batch(): everything
-  /// after the backscatter filter and per-port accounting.
-  void update_source(const net::Packet& pkt);
   /// Ships the open per-second report (if any) and resets it.
   void flush_report();
   /// Emits sample/END_FLOW events for the given sources in ascending
@@ -150,7 +136,6 @@ class FlowDetector {
   /// SecondReport::per_port only when the report ships.
   std::vector<std::int32_t> report_port_index_;
   std::vector<std::uint64_t> port_counts_;
-  std::vector<std::uint8_t> backscatter_scratch_;
   /// Open-addressing table keyed by source address: the per-packet
   /// find-or-insert is the detect stage's hottest load, and the flat
   /// layout avoids unordered_map's node chase.

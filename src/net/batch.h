@@ -1,36 +1,17 @@
-// Structure-of-arrays packet batches: the unit the hot capture->detect
-// path moves since the batched-SoA rework. A PacketBatch carries the full
-// decoded rows (AoS, for the slow consumers: sampling, the organizer, the
-// trace writer) plus parallel hot lanes (src/dst addresses, ports, TCP
-// flags, sequence numbers, sizes, timestamps) that batch-wide filters —
-// the backscatter mask, the Mirai seq==dst_ip check, the report-port
-// bitmap — consume as flat per-lane loops the compiler can
-// auto-vectorize.
+// Packet batches: the unit the capture->detect path moves. A PacketBatch
+// is a run of full decoded rows in arrival order; every consumer (the
+// federation filter, the ingest scatter, the detector, sampling, the
+// organizer, the trace writer) reads the rows themselves.
 //
 // Filling discipline: `push_back` copies a finished packet; the zero-copy
 // variant is `append_slot()` (write every field of the returned row)
 // followed by `commit_back()` — or `abandon_back()` to discard the row,
-// e.g. when a merge produced a packet past the window edge. The lanes are
-// mirrors, never masters, and they are synced lazily: the first lane
-// accessor after new rows were appended copies the outstanding rows into
-// all lanes in one flat pass (a handful of sequential stores per row, no
-// per-append vector bookkeeping — append is on the synthesis hot path).
-// A batch row and its lanes are therefore byte-wise consistent whenever a
-// consumer looks, which is why feeding a batch through the batched
-// detector path replays the exact per-packet decision sequence of the
-// scalar path (see flow::FlowDetector::process_batch).
-//
-// The lazy sync mutates mutable lane storage under const accessors: a
-// batch must not have its lanes read from two threads concurrently (the
-// pipeline hands each batch to exactly one consumer, which is also what
-// the ordered-commit protocol requires).
+// e.g. when a merge produced a packet past the window edge.
 #pragma once
 
-#include <cstdint>
-#include <span>
+#include <cstddef>
 #include <vector>
 
-#include "common/types.h"
 #include "net/packet.h"
 
 namespace exiot::net {
@@ -39,76 +20,23 @@ class PacketBatch {
  public:
   std::size_t size() const { return pkts_.size(); }
   bool empty() const { return pkts_.empty(); }
-  void reserve(std::size_t n);
-  void clear();
+  void reserve(std::size_t n) { pkts_.reserve(n); }
+  void clear() { pkts_.clear(); }
 
-  /// Appends a finished packet (copies the row; lanes sync lazily).
+  /// Appends a finished packet (copies the row).
   void push_back(const Packet& pkt) { pkts_.push_back(pkt); }
 
   /// Zero-copy append: fill every field of the returned row, then call
   /// commit_back() or abandon_back() (discards).
   Packet& append_slot() { return pkts_.emplace_back(); }
   void commit_back() {}
-  void abandon_back() {
-    pkts_.pop_back();
-    if (synced_ > pkts_.size()) synced_ = pkts_.size();
-  }
+  void abandon_back() { pkts_.pop_back(); }
 
   const Packet& operator[](std::size_t i) const { return pkts_[i]; }
   const std::vector<Packet>& packets() const { return pkts_; }
 
-  // Hot lanes (valid for indices [0, size()) once accessed — the accessor
-  // syncs any rows appended since the last sync). Non-TCP rows carry 0 in
-  // the TCP lanes, non-ICMP rows 0 in icmp_type — same as the AoS fields.
-  const TimeMicros* ts() const { sync_lanes(); return ts_.data(); }
-  const std::uint32_t* src() const { sync_lanes(); return src_.data(); }
-  const std::uint32_t* dst() const { sync_lanes(); return dst_.data(); }
-  const std::uint32_t* seq() const { sync_lanes(); return seq_.data(); }
-  const std::uint16_t* src_port() const {
-    sync_lanes();
-    return src_port_.data();
-  }
-  const std::uint16_t* dst_port() const {
-    sync_lanes();
-    return dst_port_.data();
-  }
-  const std::uint16_t* total_length() const {
-    sync_lanes();
-    return total_length_.data();
-  }
-  const std::uint8_t* proto() const { sync_lanes(); return proto_.data(); }
-  const std::uint8_t* flags() const { sync_lanes(); return flags_.data(); }
-  const std::uint8_t* icmp_type() const {
-    sync_lanes();
-    return icmp_type_.data();
-  }
-
  private:
-  void sync_lanes() const;
-
   std::vector<Packet> pkts_;
-  mutable std::size_t synced_ = 0;  // Rows already copied into the lanes.
-  mutable std::vector<TimeMicros> ts_;
-  mutable std::vector<std::uint32_t> src_;
-  mutable std::vector<std::uint32_t> dst_;
-  mutable std::vector<std::uint32_t> seq_;
-  mutable std::vector<std::uint16_t> src_port_;
-  mutable std::vector<std::uint16_t> dst_port_;
-  mutable std::vector<std::uint16_t> total_length_;
-  mutable std::vector<std::uint8_t> proto_;
-  mutable std::vector<std::uint8_t> flags_;
-  mutable std::vector<std::uint8_t> icmp_type_;
 };
-
-/// Batch-wide backscatter filter: writes out[i] = 1 iff
-/// is_backscatter(batch[i]), as one flat pass over the proto / flags /
-/// icmp_type / src_port lanes (no per-packet branches). `out` must hold
-/// batch.size() bytes.
-void backscatter_mask(const PacketBatch& batch, std::uint8_t* out);
-
-/// Batch-wide Mirai signature: counts TCP rows whose initial sequence
-/// number equals their destination address (the bot's TCP SYN telltale,
-/// §IV of the paper) in a flat per-lane loop.
-std::size_t count_mirai_lanes(const PacketBatch& batch);
 
 }  // namespace exiot::net

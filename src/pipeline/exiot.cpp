@@ -400,11 +400,11 @@ void ExIotPipeline::run_hours(std::int64_t first_hour,
   for (std::int64_t hour = first_hour; hour < last_hour; ++hour) {
     const TimeMicros start = hour * kMicrosPerHour;
     const TimeMicros end = start + kMicrosPerHour;
-    // The hour moves through capture->detect in SoA batches: the producer
-    // synthesizes into PacketBatch rows, the federation stage
+    // The hour moves through capture->detect in packet batches: the
+    // producer synthesizes into PacketBatch rows, the federation stage
     // records each row's sighting and drops dark apertures' rows in one
-    // pass (a pass-through at num_sites == 1), and the ingest stage
-    // filters each batch with one backscatter sweep (see net/batch.h).
+    // pass (a pass-through at num_sites == 1), and the ingest stage hands
+    // each row to FlowDetector::process.
     ingest_.run_hour_batched(
         [this, start, end](const ThreadedIngest::BatchFn& fn) {
           return federation_.run_window(

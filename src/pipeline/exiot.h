@@ -67,10 +67,10 @@ struct PipelineConfig {
   std::size_t buffer_capacity = 64;
   /// Packets per batch pushed into a shard's capture buffer.
   std::size_t ingest_batch_size = 512;
-  /// Rows per SoA PacketBatch moved through the capture->detect hot path
-  /// (producer emit, batched backscatter filtering). Any value yields the
-  /// byte-identical feed; it only trades per-batch overhead against cache
-  /// footprint. CLI: `exiotctl --batch-size`.
+  /// Rows per PacketBatch moved through the capture->detect hot path
+  /// (producer emit, federation filter, ingest scatter). Any value yields
+  /// the byte-identical feed; it only trades per-batch overhead against
+  /// cache footprint. CLI: `exiotctl --batch-size`.
   std::size_t decode_batch_size = 512;
   /// Producer threads synthesizing telescope traffic (stage 0); 1 keeps
   /// synthesis serial on the calling thread. The feed output is

@@ -22,7 +22,6 @@ FederationStage::FederationStage(FederationConfig config,
 
   obs::MetricsRegistry& reg =
       metrics != nullptr ? *metrics : obs::scratch_registry();
-  const bool federated = config_.num_sites > 1;
   for (int i = 0; i < config_.num_sites; ++i) {
     SiteSpec spec =
         static_cast<std::size_t>(i) < config_.sites.size()
@@ -33,10 +32,8 @@ FederationStage::FederationStage(FederationConfig config,
     info.aperture = apertures[static_cast<std::size_t>(i)];
     info.clock_skew = spec.clock_skew;
     sites_.push_back(info);
-    // A single-site federation keeps the legacy unlabelled tunnel series;
-    // real federations label every tunnel metric with its site.
     tunnels_.push_back(std::make_unique<ReconnectingTunnel>(
-        spec.reconnect_delay, metrics, federated ? info.name : ""));
+        spec.reconnect_delay, metrics, info.name));
     for (const auto& [from, to] : spec.outages) {
       tunnels_.back()->schedule_outage(from, to);
     }
@@ -62,9 +59,11 @@ FederationStage::FederationStage(FederationConfig config,
 std::size_t FederationStage::run_window(const BatchSource& source,
                                         const BatchFn& sink) {
   if (config_.num_sites == 1) {
-    // Legacy single-telescope path: the one site is the whole aperture —
-    // forward batches untouched, keep the hot path free of bookkeeping.
-    return source(sink);
+    // Single-telescope path: the one site is the whole aperture — forward
+    // batches untouched and count the window's packets in one add.
+    const std::size_t forwarded = source(sink);
+    packets_c_[0]->inc(forwarded);
+    return forwarded;
   }
   // With every site active nothing is dropped and the input batch itself
   // is forwarded; otherwise the surviving rows are copied out in input
@@ -74,22 +73,19 @@ std::size_t FederationStage::run_window(const BatchSource& source,
   std::size_t forwarded = 0;
   std::uint64_t dropped = 0;
   source([&](const net::PacketBatch& batch) {
-    const std::size_t n = batch.size();
-    const TimeMicros* ts = batch.ts();
-    const std::uint32_t* src = batch.src();
-    const std::uint32_t* dst = batch.dst();
     std::fill(site_counts_.begin(), site_counts_.end(), 0);
     if (filtering) out_.clear();
-    for (std::size_t i = 0; i < n; ++i) {
-      const std::size_t site = site_of(dst[i]);
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      const net::Packet& pkt = batch[i];
+      const std::size_t site = site_of(pkt.dst.value());
       if (site >= active) {
         ++dropped;
         continue;  // Dark aperture: nobody is listening there.
       }
       ++site_counts_[site];
-      sightings_.record(src[i], static_cast<std::uint32_t>(site), ts[i],
-                        ts[i] + sites_[site].clock_skew);
-      if (filtering) out_.push_back(batch[i]);
+      sightings_.record(pkt.src.value(), static_cast<std::uint32_t>(site),
+                        pkt.ts, pkt.ts + sites_[site].clock_skew);
+      if (filtering) out_.push_back(pkt);
     }
     for (std::size_t s = 0; s < site_counts_.size(); ++s) {
       if (site_counts_[s] != 0) packets_c_[s]->inc(site_counts_[s]);

@@ -5,8 +5,8 @@
 //
 // Placement: between the producer (canonical traffic synthesis against
 // the full aperture) and the threaded ingest. The stage is a stable
-// filter: one pass over each canonical SoA batch's dst lane attributes
-// every row to the site whose sub-prefix it lands in, records the
+// filter: one pass over each canonical batch's rows attributes every row
+// to the site whose sub-prefix its destination lands in, records the
 // sighting per (source, site), and drops the row if that site is dark
 // (inactive). The surviving rows go downstream in input order; with every
 // site active that is the input batch itself. The union of all sites is
@@ -27,8 +27,10 @@
 // single-tunnel behavior exactly.
 //
 // Single-site fast path: num_sites == 1 forwards batches untouched — no
-// attribution, no sighting bookkeeping — so the legacy pipeline pays
-// nothing for the federation layer existing.
+// attribution, no sighting bookkeeping, one counter add per window — so
+// the single-telescope pipeline pays nothing for the federation layer
+// existing. Every site count labels its packet and tunnel series with the
+// site name (`site0` for the single telescope).
 #pragma once
 
 #include <cstdint>

@@ -129,8 +129,10 @@ void ThreadedIngest::consume_shard(std::size_t s, bool tracing_on) {
               ? sp->batch_pop_micros - handoff
               : 0;
     }
-    sp->detector->process_batch(batch->pkts, batch->seqs.data(),
-                                &sp->current_seq);
+    for (std::size_t i = 0; i < batch->pkts.size(); ++i) {
+      sp->current_seq = batch->seqs[i];
+      sp->detector->process(batch->pkts[i]);
+    }
     if (batch->trace.sampled()) {
       const std::uint64_t now = obs::steady_micros();
       tracer_->record(batch->trace, obs::SpanStage::kIngest,
@@ -164,11 +166,10 @@ void ThreadedIngest::push_to_shard(std::size_t s, Batch&& batch,
 std::size_t ThreadedIngest::run_single_batched(const BatchSource& source) {
   Shard& shard = *shards_[0];
   return source([this, &shard](const net::PacketBatch& batch) {
-    const std::size_t n = batch.size();
-    lane_seqs_.resize(n);
-    for (std::size_t i = 0; i < n; ++i) lane_seqs_[i] = seq_++;
-    shard.detector->process_batch(batch, lane_seqs_.data(),
-                                  &shard.current_seq);
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      shard.current_seq = seq_++;
+      shard.detector->process(batch[i]);
+    }
   });
 }
 
@@ -183,9 +184,9 @@ std::size_t ThreadedIngest::run_threaded_batched(const BatchSource& source) {
     consumers.emplace_back([this, s, tracing] { consume_shard(s, tracing); });
   }
 
-  // Producer: scatter each source batch's rows into per-shard open SoA
+  // Producer: scatter each source batch's rows into per-shard open
   // batches (rows keep their global arrival sequence in the parallel
-  // `seqs` lane), flushing full ones into the blocking buffers.
+  // `seqs` vector), flushing full ones into the blocking buffers.
   std::vector<Batch> open(n);
   for (auto& batch : open) {
     batch.pkts.reserve(config_.batch_size);
@@ -193,10 +194,8 @@ std::size_t ThreadedIngest::run_threaded_batched(const BatchSource& source) {
   }
   const std::size_t count =
       source([this, &open, tracing](const net::PacketBatch& in) {
-        const std::size_t m = in.size();
-        const std::uint32_t* src = in.src();
-        for (std::size_t i = 0; i < m; ++i) {
-          const std::size_t s = shard_of(Ipv4(src[i]));
+        for (std::size_t i = 0; i < in.size(); ++i) {
+          const std::size_t s = shard_of(in[i].src);
           Batch& batch = open[s];
           batch.pkts.push_back(in[i]);
           batch.seqs.push_back(seq_++);

@@ -2,10 +2,11 @@
 // telescope capture from downstream modules with a 15 GB mbuffer; this
 // stage reproduces that architecture: a producer (the traffic synthesizer
 // or a trace decoder, standing in for the capture card) emits the hour's
-// time-ordered packet stream as SoA batches (net/batch.h), whose rows are
-// sharded by source IP into per-shard blocking BoundedBuffers and consumed
-// by N FlowDetector shards on their own threads. There is one run mode,
-// run_hour_batched; the detectors take whole batches (process_batch).
+// time-ordered packet stream as packet batches (net/batch.h), whose rows
+// are sharded by source IP into per-shard blocking BoundedBuffers and
+// consumed by N FlowDetector shards on their own threads. There is one run
+// mode, run_hour_batched; each shard feeds its rows one at a time to
+// FlowDetector::process, the detector's only entry point.
 //
 // Sharding by source is what makes the detectors lock-free: all TRW /
 // flow-table state is keyed by source IP, and every packet of a source
@@ -57,7 +58,7 @@ struct IngestConfig {
 class ThreadedIngest {
  public:
   using BatchFn = std::function<void(const net::PacketBatch&)>;
-  /// A batched packet source: invokes the callback once per SoA batch
+  /// A batched packet source: invokes the callback once per batch
   /// (rows in non-decreasing timestamp order across calls), returning the
   /// total number of packets emitted. The callback borrows the batch only
   /// for the duration of the call.
@@ -76,10 +77,10 @@ class ThreadedIngest {
   ThreadedIngest(const ThreadedIngest&) = delete;
   ThreadedIngest& operator=(const ThreadedIngest&) = delete;
 
-  /// Runs one capture hour: streams `source` through the shards in SoA
-  /// batches (one std::function call and one backscatter sweep per batch),
-  /// runs the expiry sweep at `hour_end`, and replays all detector events
-  /// into the sink before returning. Returns the number of packets
+  /// Runs one capture hour: streams `source` through the shards in
+  /// batches (one std::function call per batch, one detector call per
+  /// row), runs the expiry sweep at `hour_end`, and replays all detector
+  /// events into the sink before returning. Returns the number of packets
   /// processed.
   std::size_t run_hour_batched(const BatchSource& source,
                                TimeMicros hour_end);
@@ -126,12 +127,15 @@ class ThreadedIngest {
     std::unique_ptr<BoundedBuffer<Batch>> buffer;  // num_shards > 1 only.
     std::vector<Event> events;
     std::vector<flow::SecondReport> reports;
+    /// Global arrival sequence of the row being detected, set before each
+    /// detector->process() call; the event callbacks stamp it.
     std::uint64_t current_seq = 0;
     std::uint64_t batch_seq = 0;  // Producer-side batch ordinal.
     /// Timing of the batch currently being processed, written by the
-    /// shard's consumer thread before each detector->process() run and
-    /// read by the detection callbacks on that same thread (kDetect span
-    /// roots). Zeroed at barriers (calling thread, consumers joined).
+    /// shard's consumer thread before the batch's detector->process()
+    /// calls and read by the detection callbacks on that same thread
+    /// (kDetect span roots). Zeroed at barriers (calling thread, consumers
+    /// joined).
     std::uint64_t batch_pop_micros = 0;
     std::uint64_t batch_wait_micros = 0;
   };
@@ -152,7 +156,6 @@ class ThreadedIngest {
   obs::Watchdog* watchdog_;
   std::vector<std::unique_ptr<Shard>> shards_;
   std::uint64_t seq_ = 0;
-  std::vector<std::uint64_t> lane_seqs_;  // run_single_batched scratch.
   obs::Counter* packets_c_;
   obs::Counter* batches_c_;
   obs::Counter* events_c_;

@@ -57,7 +57,7 @@ struct ProducerConfig {
 /// context (sampled per batch, keyed by partition x batch ordinal) lets the
 /// merge side attribute batch build time vs. queue-wait time.
 struct ProducerBatch {
-  net::PacketBatch pkts;  // Rows only; the merge never reads the lanes.
+  net::PacketBatch pkts;
   /// Global host index per row — the deterministic tie-break the K-way
   /// merge orders equal timestamps by.
   std::vector<std::uint32_t> hosts;
@@ -79,7 +79,7 @@ class ParallelProducer {
   ParallelProducer& operator=(const ParallelProducer&) = delete;
 
   /// Emits every packet with ts in [t0, t1) in the canonical
-  /// (ts, host_index) arrival order, delivered as SoA batches of
+  /// (ts, host_index) arrival order, delivered as batches of
   /// `batch_size` rows via `fn(const net::PacketBatch&)` (void return; the
   /// batch is borrowed only for the call). The serial fallback runs the
   /// merge core on the calling thread; with K > 1 producers the K-way merge

@@ -10,14 +10,9 @@ ReconnectingTunnel::ReconnectingTunnel(TimeMicros reconnect_delay,
     : reconnect_delay_(reconnect_delay) {
   obs::MetricsRegistry& reg =
       metrics != nullptr ? *metrics : obs::scratch_registry();
-  obs::Labels direct{{"status", "direct"}};
-  obs::Labels delayed{{"status", "delayed"}};
-  obs::Labels plain;
-  if (!site.empty()) {
-    direct.emplace_back("site", site);
-    delayed.emplace_back("site", site);
-    plain.emplace_back("site", site);
-  }
+  const obs::Labels direct{{"status", "direct"}, {"site", site}};
+  const obs::Labels delayed{{"status", "delayed"}, {"site", site}};
+  const obs::Labels plain{{"site", site}};
   direct_c_ = &reg.counter("exiot_tunnel_messages_total",
                            "Messages through the CAIDA-to-feed tunnel.",
                            direct);

@@ -26,12 +26,11 @@ namespace exiot::pipeline {
 class ReconnectingTunnel {
  public:
   /// `reconnect_delay`: how long re-establishing the SSH tunnel takes after
-  /// an outage ends. `site` labels this tunnel's metrics (federated
-  /// telescopes run one tunnel per sensor site); empty keeps the legacy
-  /// unlabelled series.
+  /// an outage ends. `site` labels this tunnel's metrics (a telescope runs
+  /// one tunnel per sensor site; the single telescope is `site0`).
   explicit ReconnectingTunnel(TimeMicros reconnect_delay = seconds(5),
                               obs::MetricsRegistry* metrics = nullptr,
-                              const std::string& site = "");
+                              const std::string& site = "site0");
 
   /// Injects a connectivity outage over [from, to). Outages may be added
   /// in any order; overlapping or touching outages are merged on insert,

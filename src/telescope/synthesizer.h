@@ -256,7 +256,7 @@ class TrafficSynthesizer {
   TrafficSynthesizer(const inet::Population& pop, Cidr aperture);
 
   /// Emits every packet with ts in [t0, t1) in (ts, host_index) order as
-  /// SoA batch rows, delivered `batch_size` at a time as
+  /// batch rows, delivered `batch_size` at a time as
   /// `fn(const net::PacketBatch&)`. Returns the number of packets emitted.
   template <typename BatchFn>
   std::size_t emit_batches(TimeMicros t0, TimeMicros t1,

@@ -244,7 +244,7 @@ TEST(AnnotateDeterminismTest, OutputInvariantAcrossWorkerMatrix) {
   // Workers x producers x shards x decode batch size: every externally
   // visible artifact — feed export, outbox, and API bodies — must be
   // byte-identical to the fully serial run. The batch dimension pins the
-  // SoA hot path: batching is an execution detail, never a semantic one.
+  // batch hot path: batching is an execution detail, never a semantic one.
   for (const auto& [workers, producers, shards, batch] :
        {std::tuple{1, 2, 2, 512}, std::tuple{2, 2, 2, 512},
         std::tuple{4, 2, 2, 64}, std::tuple{8, 2, 2, 1024},

@@ -1,8 +1,8 @@
-// Equivalence fuzz suite for the batched SoA hot path: every batched
-// routine must reproduce its scalar counterpart exactly — same packets,
-// same error strings, same events, bit-identical scores — across batch
-// sizes {1, 7, 64, 1024}. The batched code is an optimization, never a
-// semantic fork; these tests pin that contract.
+// Equivalence fuzz suite for the batched paths: every routine that moves
+// packets or rows in batches must reproduce its per-item counterpart
+// exactly — same packets, same error strings, same events, bit-identical
+// scores — across batch sizes {1, 7, 64, 1024}. Batching is an
+// optimization, never a semantic fork; these tests pin that contract.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -16,6 +16,7 @@
 #include "ml/forest.h"
 #include "net/batch.h"
 #include "net/wire.h"
+#include "pipeline/ingest.h"
 #include "reference_merge.h"
 #include "telescope/synthesizer.h"
 #include "trace/trace.h"
@@ -25,9 +26,9 @@ namespace {
 
 constexpr std::size_t kBatchSizes[] = {1, 7, 64, 1024};
 
-// Random packet covering every lane the batch filters read: all three
-// protocols, backscatter and probe flag combinations, Mirai seq==dst hits,
-// reply-port UDP sources, the ICMP reply types.
+// Random packet covering every field the detector's filters read: all
+// three protocols, backscatter and probe flag combinations, Mirai seq==dst
+// hits, reply-port UDP sources, the ICMP reply types.
 net::Packet random_packet(Rng& rng, TimeMicros ts) {
   net::Packet p;
   p.ts = ts;
@@ -104,52 +105,6 @@ std::vector<net::Packet> random_packets(Rng& rng, std::size_t n) {
     pkts.push_back(random_packet(rng, ts));
   }
   return pkts;
-}
-
-TEST(BatchLanes, LanesMirrorTheBackingRows) {
-  Rng rng(2101);
-  net::PacketBatch batch;
-  const auto pkts = random_packets(rng, 777);
-  for (const auto& p : pkts) batch.push_back(p);
-  ASSERT_EQ(batch.size(), pkts.size());
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    EXPECT_EQ(batch[i], pkts[i]);
-    EXPECT_EQ(batch.ts()[i], pkts[i].ts);
-    EXPECT_EQ(batch.src()[i], pkts[i].src.value());
-    EXPECT_EQ(batch.dst()[i], pkts[i].dst.value());
-    EXPECT_EQ(batch.seq()[i], pkts[i].seq);
-    EXPECT_EQ(batch.src_port()[i], pkts[i].src_port);
-    EXPECT_EQ(batch.dst_port()[i], pkts[i].dst_port);
-    EXPECT_EQ(batch.total_length()[i], pkts[i].total_length);
-    EXPECT_EQ(batch.proto()[i], static_cast<std::uint8_t>(pkts[i].proto));
-    EXPECT_EQ(batch.flags()[i], pkts[i].flags);
-    EXPECT_EQ(batch.icmp_type()[i], pkts[i].icmp_type_v);
-  }
-}
-
-TEST(BatchLanes, BackscatterMaskMatchesScalarPredicate) {
-  Rng rng(2103);
-  net::PacketBatch batch;
-  for (const auto& p : random_packets(rng, 4096)) batch.push_back(p);
-  std::vector<std::uint8_t> mask(batch.size());
-  net::backscatter_mask(batch, mask.data());
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    EXPECT_EQ(mask[i] != 0, net::is_backscatter(batch[i]))
-        << "lane " << i << ": " << batch[i].summary();
-  }
-}
-
-TEST(BatchLanes, MiraiLaneCountMatchesScalarPredicate) {
-  Rng rng(2105);
-  net::PacketBatch batch;
-  for (const auto& p : random_packets(rng, 4096)) batch.push_back(p);
-  std::size_t scalar = 0;
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    const net::Packet& p = batch[i];
-    scalar += p.proto == net::IpProto::kTcp && p.seq == p.dst.value();
-  }
-  EXPECT_EQ(net::count_mirai_lanes(batch), scalar);
-  EXPECT_GT(scalar, 0u);  // The generator must actually exercise the hit.
 }
 
 TEST(WireBatch, CanonicalParseAcceptsEveryEncoderImage) {
@@ -330,33 +285,36 @@ TEST(TraceTornTail, MagicOnlyStreamIsTorn) {
   EXPECT_TRUE(ok.error.empty()) << ok.error;
 }
 
-// --- Flow detector: batched path must replay the scalar decision
-// sequence, events included. ---
+// --- Flow detection: the ingest stage must replay the per-packet
+// detector's decisions, events included. ---
 
-// Serializes every detector event into a log line so two runs can be
-// compared as plain string vectors.
-flow::DetectorEvents recording_events(std::vector<std::string>& log,
-                                      const std::uint64_t* cursor) {
+// Detector events serialized into log lines, so two runs compare as plain
+// string vectors. At the hour barrier the ingest stage replays an hour's
+// per-second reports before its control events, so the two kinds are
+// kept as separate ordered sequences.
+struct EventLog {
+  std::vector<std::string> reports;
+  std::vector<std::string> events;  // Scanner, sample and end lines.
+};
+
+flow::DetectorEvents recording_events(EventLog& log) {
   flow::DetectorEvents ev;
-  ev.on_scanner = [&log, cursor](const flow::FlowSummary& s) {
-    log.push_back("scanner src=" + std::to_string(s.src.value()) +
-                  " first=" + std::to_string(s.first_seen) +
-                  " detect=" + std::to_string(s.detect_time) +
-                  " pkts=" + std::to_string(s.total_packets) +
-                  " seq=" + std::to_string(*cursor));
+  ev.on_scanner = [&log](const flow::FlowSummary& s) {
+    log.events.push_back("scanner src=" + std::to_string(s.src.value()) +
+                         " first=" + std::to_string(s.first_seen) +
+                         " detect=" + std::to_string(s.detect_time) +
+                         " pkts=" + std::to_string(s.total_packets));
   };
-  ev.on_sample = [&log, cursor](Ipv4 src,
-                                const std::vector<net::Packet>& sample) {
+  ev.on_sample = [&log](Ipv4 src, const std::vector<net::Packet>& sample) {
     std::string line = "sample src=" + std::to_string(src.value()) +
-                       " n=" + std::to_string(sample.size()) +
-                       " seq=" + std::to_string(*cursor);
+                       " n=" + std::to_string(sample.size());
     for (const auto& p : sample) line += " " + std::to_string(p.ts);
-    log.push_back(std::move(line));
+    log.events.push_back(std::move(line));
   };
   ev.on_flow_end = [&log](const flow::FlowSummary& s) {
-    log.push_back("end src=" + std::to_string(s.src.value()) +
-                  " last=" + std::to_string(s.last_seen) +
-                  " pkts=" + std::to_string(s.total_packets));
+    log.events.push_back("end src=" + std::to_string(s.src.value()) +
+                         " last=" + std::to_string(s.last_seen) +
+                         " pkts=" + std::to_string(s.total_packets));
   };
   ev.on_report = [&log](const flow::SecondReport& r) {
     std::string line = "report t=" + std::to_string(r.second_start) +
@@ -372,7 +330,7 @@ flow::DetectorEvents recording_events(std::vector<std::string>& log,
     for (const auto& [port, count] : ports) {
       line += " p" + std::to_string(port) + "=" + std::to_string(count);
     }
-    log.push_back(std::move(line));
+    log.reports.push_back(std::move(line));
   };
   return ev;
 }
@@ -401,64 +359,62 @@ std::vector<net::Packet> detector_stream(Rng& rng) {
   return pkts;
 }
 
-TEST(FlowBatch, ProcessBatchMatchesScalar) {
+// ThreadedIngest, the route every packet takes into detection, fed source
+// batches of every size at 1 and 4 shards, against one bare
+// FlowDetector::process call per packet.
+TEST(FlowBatch, IngestMatchesPerPacketDetector) {
   Rng rng(2121);
   const auto pkts = detector_stream(rng);
   const std::vector<std::uint16_t> report_ports = {23, 2323, 80};
+  const TimeMicros hour_end = pkts.back().ts + kMicrosPerHour + 1;
 
   flow::DetectorConfig config;
   config.sample_count = 20;  // Complete samples inside the stream.
 
-  // Scalar reference: one process() call per packet, with the sequence
-  // cursor advanced exactly as the ingest shard does.
-  std::vector<std::string> scalar_log;
-  std::uint64_t scalar_cursor = 0;
-  flow::FlowDetector scalar(config, recording_events(scalar_log,
-                                                     &scalar_cursor),
-                            report_ports);
-  for (std::size_t i = 0; i < pkts.size(); ++i) {
-    scalar_cursor = 1000 + i;
-    scalar.process(pkts[i]);
-  }
-  scalar.end_of_hour(pkts.back().ts + kMicrosPerHour + 1);
-  scalar.finish();
-  ASSERT_GT(scalar.stats().scanners_detected, 0u);
-  ASSERT_GT(scalar.stats().backscatter_filtered, 0u);
-  ASSERT_GT(scalar.stats().samples_completed, 0u);
+  EventLog want;
+  flow::FlowDetector reference(config, recording_events(want), report_ports);
+  for (const net::Packet& p : pkts) reference.process(p);
+  reference.end_of_hour(hour_end);
+  reference.finish();
+  const flow::DetectorStats& ref = reference.stats();
+  ASSERT_GT(ref.scanners_detected, 0u);
+  ASSERT_GT(ref.backscatter_filtered, 0u);
+  ASSERT_GT(ref.samples_completed, 0u);
 
-  for (const std::size_t bs : kBatchSizes) {
-    std::vector<std::string> batch_log;
-    std::uint64_t batch_cursor = 0;
-    flow::FlowDetector batched(config, recording_events(batch_log,
-                                                        &batch_cursor),
-                               report_ports);
-    net::PacketBatch batch;
-    std::vector<std::uint64_t> lane_seqs;
-    for (std::size_t i = 0; i < pkts.size(); i += bs) {
-      batch.clear();
-      lane_seqs.clear();
-      const std::size_t end = std::min(pkts.size(), i + bs);
-      for (std::size_t j = i; j < end; ++j) {
-        batch.push_back(pkts[j]);
-        lane_seqs.push_back(1000 + j);
-      }
-      batched.process_batch(batch, lane_seqs.data(), &batch_cursor);
+  for (const int shards : {1, 4}) {
+    for (const std::size_t bs : kBatchSizes) {
+      SCOPED_TRACE("shards " + std::to_string(shards) + ", batch size " +
+                   std::to_string(bs));
+      EventLog got;
+      pipeline::IngestConfig ingest_config;
+      ingest_config.num_shards = shards;
+      pipeline::ThreadedIngest ingest(ingest_config, config,
+                                      recording_events(got), report_ports);
+      const std::size_t n = ingest.run_hour_batched(
+          [&](const pipeline::ThreadedIngest::BatchFn& fn) {
+            net::PacketBatch batch;
+            for (std::size_t i = 0; i < pkts.size(); i += bs) {
+              batch.clear();
+              const std::size_t end = std::min(pkts.size(), i + bs);
+              for (std::size_t j = i; j < end; ++j) batch.push_back(pkts[j]);
+              fn(batch);
+            }
+            return pkts.size();
+          },
+          hour_end);
+      ingest.finish();
+
+      EXPECT_EQ(n, pkts.size());
+      EXPECT_EQ(got.reports, want.reports);
+      EXPECT_EQ(got.events, want.events);
+      const flow::DetectorStats stats = ingest.stats();
+      EXPECT_EQ(stats.packets_processed, ref.packets_processed);
+      EXPECT_EQ(stats.backscatter_filtered, ref.backscatter_filtered);
+      EXPECT_EQ(stats.scanners_detected, ref.scanners_detected);
+      EXPECT_EQ(stats.samples_completed, ref.samples_completed);
+      EXPECT_EQ(stats.flows_ended, ref.flows_ended);
+      EXPECT_EQ(stats.pending_resets, ref.pending_resets);
     }
-    batched.end_of_hour(pkts.back().ts + kMicrosPerHour + 1);
-    batched.finish();
-
-    EXPECT_EQ(batch_log, scalar_log) << "batch size " << bs;
-    EXPECT_EQ(batched.stats().packets_processed,
-              scalar.stats().packets_processed);
-    EXPECT_EQ(batched.stats().backscatter_filtered,
-              scalar.stats().backscatter_filtered);
-    EXPECT_EQ(batched.stats().scanners_detected,
-              scalar.stats().scanners_detected);
-    EXPECT_EQ(batched.stats().samples_completed,
-              scalar.stats().samples_completed);
-    EXPECT_EQ(batched.stats().flows_ended, scalar.stats().flows_ended);
-    EXPECT_EQ(batched.stats().pending_resets,
-              scalar.stats().pending_resets);
   }
 }
 

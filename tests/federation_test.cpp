@@ -128,6 +128,27 @@ TEST(FederationStageTest, DemuxesRecordsAndDropsDarkApertures) {
   EXPECT_EQ(sightings[0].first_seen, seconds(1));
 }
 
+// The single telescope's passthrough still counts what its one site
+// captured.
+TEST(FederationStageTest, SingleSiteCountsCapturedPackets) {
+  FederationConfig config;
+  config.telescope = Cidr(Ipv4(44, 0, 0, 0), 8);
+  obs::MetricsRegistry metrics;
+  FederationStage stage(config, &metrics);
+
+  net::PacketBatch batch;
+  const Ipv4 scanner(203, 0, 113, 9);
+  batch.push_back(net::make_syn(seconds(1), scanner, Ipv4(44, 10, 0, 1),
+                                40000, 23));
+  batch.push_back(net::make_syn(seconds(2), scanner, Ipv4(44, 200, 0, 1),
+                                40001, 23));
+  EXPECT_EQ(stage.run_window(one_batch(batch), [](const net::PacketBatch&) {}),
+            2u);
+  EXPECT_EQ(metrics.counter_value("exiot_federation_packets_total",
+                                  {{"site", "site0"}}),
+            2u);
+}
+
 // Quarter of the /8 (site at 4 sites) each row of regressing_batch()
 // lands in.
 constexpr int kQuarterOf[8] = {0, 3, 1, 2, 0, 1, 3, 2};

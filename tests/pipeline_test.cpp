@@ -407,22 +407,24 @@ TEST(TunnelTest, OverlappingOutagesMergeOnInsert) {
 }
 
 // deliver and delivery_time share one cascade walk, so the reconnect
-// counter tracks exactly the outages a delivery waited through.
+// counter tracks exactly the outages a delivery waited through. A tunnel
+// always labels its series with its site (`site0` by default).
 TEST(TunnelTest, ReconnectCounterMatchesCascadeDepth) {
   obs::MetricsRegistry metrics;
   ReconnectingTunnel tunnel(seconds(10), &metrics);
   tunnel.schedule_outage(seconds(100), seconds(200));
   tunnel.schedule_outage(seconds(205), seconds(300));
   tunnel.schedule_outage(seconds(305), seconds(400));
+  const obs::Labels site{{"site", "site0"}};
   // 150 -> 210 (in outage 2) -> 310 (in outage 3) -> 410: 3 reconnects.
   EXPECT_EQ(tunnel.deliver(seconds(150)), seconds(410));
-  EXPECT_EQ(metrics.counter_value("exiot_tunnel_reconnects_total"), 3u);
+  EXPECT_EQ(metrics.counter_value("exiot_tunnel_reconnects_total", site), 3u);
   // A direct message crosses none.
   EXPECT_EQ(tunnel.deliver(seconds(50)), seconds(50));
-  EXPECT_EQ(metrics.counter_value("exiot_tunnel_reconnects_total"), 3u);
+  EXPECT_EQ(metrics.counter_value("exiot_tunnel_reconnects_total", site), 3u);
   // A send in the last reconnect window crosses exactly one.
   EXPECT_EQ(tunnel.deliver(seconds(402)), seconds(410));
-  EXPECT_EQ(metrics.counter_value("exiot_tunnel_reconnects_total"), 4u);
+  EXPECT_EQ(metrics.counter_value("exiot_tunnel_reconnects_total", site), 4u);
 }
 
 // ------------------------------------------------------------ Organizer ----

@@ -25,7 +25,7 @@
 //       an ordered reorder commit (output is identical for any producers
 //       x shards x annotate-workers combination); --buffer sets the
 //       per-shard capture buffer capacity in batches and --batch-size the
-//       rows per SoA decode batch on the capture->detect hot path (any
+//       rows per packet batch on the capture->detect hot path (any
 //       value yields the identical feed). --trace-sample
 //       span-traces that fraction of records/batches end to end and
 //       --watchdog-deadline arms the stall watchdog (neither changes the
