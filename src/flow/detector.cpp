@@ -9,36 +9,37 @@ FlowDetector::FlowDetector(DetectorConfig config, DetectorEvents events,
     : config_(config),
       events_(std::move(events)),
       report_ports_(std::move(report_ports)) {
+  std::sort(report_ports_.begin(), report_ports_.end());
+  report_ports_.erase(std::unique(report_ports_.begin(), report_ports_.end()),
+                      report_ports_.end());
   if (!report_ports_.empty()) {
     report_port_index_.assign(65536, -1);
-    for (std::uint16_t p : report_ports_) {
-      if (report_port_index_[p] >= 0) continue;  // Duplicate port.
-      report_port_index_[p] =
-          static_cast<std::int32_t>(port_counts_.size());
-      port_counts_.push_back(0);
+    for (std::size_t i = 0; i < report_ports_.size(); ++i) {
+      report_port_index_[report_ports_[i]] = static_cast<std::int32_t>(i);
     }
+    port_counts_.assign(report_ports_.size(), 0);
   }
 }
 
 void FlowDetector::materialize_per_port() {
-  for (std::uint16_t p : report_ports_) {
-    const std::uint64_t n =
-        port_counts_[static_cast<std::size_t>(report_port_index_[p])];
-    if (n != 0) current_report_.per_port[p] = n;
+  for (std::size_t i = 0; i < report_ports_.size(); ++i) {
+    if (port_counts_[i] != 0) {
+      current_report_.per_port[report_ports_[i]] = port_counts_[i];
+      port_counts_[i] = 0;
+    }
   }
-  std::fill(port_counts_.begin(), port_counts_.end(), 0);
 }
 
 void FlowDetector::roll_second(TimeMicros ts) {
+  if (ts < open_end_ && ts >= current_report_.second_start) return;
   const TimeMicros second = ts - ts % kMicrosPerSecond;
   if (report_open_ && second == current_report_.second_start) return;
-  if (report_open_) {
-    materialize_per_port();
-    if (events_.on_report) events_.on_report(current_report_);
-  }
-  current_report_ = SecondReport{};
+  flush_report();
   current_report_.second_start = second;
   report_open_ = true;
+  // `%` truncates toward zero, so a negative second does not span
+  // [second, second + 1 s); such packets always take the path above.
+  if (second >= 0) open_end_ = second + kMicrosPerSecond;
 }
 
 void FlowDetector::process(const net::Packet& pkt) {
@@ -83,14 +84,13 @@ void FlowDetector::process(const net::Packet& pkt) {
         s.last_seen - s.first_seen >= config_.min_duration) {
       s.is_scanner = true;
       s.detect_time = pkt.ts;
-      s.packets_at_detect = s.packets;
       ++stats_.scanners_detected;
       ++current_report_.new_scanners;
       if (events_.on_scanner) {
         events_.on_scanner(FlowSummary{pkt.src, s.first_seen, s.detect_time,
                                        s.last_seen, s.packets});
       }
-      s.sample.reserve(static_cast<std::size_t>(config_.sample_count));
+      s.sample_slot = acquire_sample();
     }
     return;
   }
@@ -98,19 +98,34 @@ void FlowDetector::process(const net::Packet& pkt) {
   // Detected scanner: sample the next `sample_count` packets, then ignore
   // (only updating last_seen, already done above).
   if (!s.sample_done) {
-    s.sample.push_back(pkt);
-    if (s.sample.size() >=
-        static_cast<std::size_t>(config_.sample_count)) {
+    std::vector<net::Packet>& sample = samples_[s.sample_slot];
+    sample.push_back(pkt);
+    if (sample.size() >= static_cast<std::size_t>(config_.sample_count)) {
       s.sample_done = true;
       ++stats_.samples_completed;
-      if (events_.on_sample) events_.on_sample(pkt.src, s.sample);
-      s.sample.clear();
-      s.sample.shrink_to_fit();
+      if (events_.on_sample) events_.on_sample(pkt.src, sample);
+      release_sample(s.sample_slot);
     }
   }
 }
 
-void FlowDetector::end_flow(Ipv4 src, SourceState& s) {
+std::uint32_t FlowDetector::acquire_sample() {
+  if (!free_samples_.empty()) {
+    const std::uint32_t slot = free_samples_.back();
+    free_samples_.pop_back();
+    return slot;
+  }
+  samples_.emplace_back().reserve(
+      static_cast<std::size_t>(config_.sample_count));
+  return static_cast<std::uint32_t>(samples_.size() - 1);
+}
+
+void FlowDetector::release_sample(std::uint32_t slot) {
+  samples_[slot].clear();
+  free_samples_.push_back(slot);
+}
+
+void FlowDetector::end_flow(Ipv4 src, const SourceState& s) {
   ++stats_.flows_ended;
   if (events_.on_flow_end) {
     events_.on_flow_end(
@@ -124,22 +139,30 @@ void FlowDetector::flush_report() {
     materialize_per_port();
     if (events_.on_report) events_.on_report(current_report_);
   }
+  // A fresh report, but per_port keeps its storage: no allocation per
+  // second once the busiest second's port list has been seen.
+  PortCounts per_port = std::move(current_report_.per_port);
+  per_port.clear();
   current_report_ = SecondReport{};
+  current_report_.per_port = std::move(per_port);
   report_open_ = false;
+  open_end_ = std::numeric_limits<TimeMicros>::min();
 }
 
-void FlowDetector::expire(std::vector<std::pair<std::uint32_t, SourceState>>
-                              expired) {
+void FlowDetector::end_flows(Expired& scanners) {
   // Expiries are emitted in ascending source order so the event stream is
   // deterministic regardless of hash-table layout or shard count.
-  std::sort(expired.begin(), expired.end(),
+  std::sort(scanners.begin(), scanners.end(),
             [](const auto& a, const auto& b) { return a.first < b.first; });
-  for (auto& [addr, s] : expired) {
-    if (!s.is_scanner) continue;
-    // An incomplete sample still ships: the packet organizer downstream
-    // decides whether it is usable (the paper drops short samples).
-    if (!s.sample_done && !s.sample.empty() && events_.on_sample) {
-      events_.on_sample(Ipv4(addr), s.sample);
+  for (const auto& [addr, s] : scanners) {
+    if (!s.sample_done) {
+      // An incomplete sample still ships: the packet organizer downstream
+      // decides whether it is usable (the paper drops short samples).
+      const std::vector<net::Packet>& sample = samples_[s.sample_slot];
+      if (!sample.empty() && events_.on_sample) {
+        events_.on_sample(Ipv4(addr), sample);
+      }
+      release_sample(s.sample_slot);
     }
     end_flow(Ipv4(addr), s);
   }
@@ -149,24 +172,25 @@ void FlowDetector::end_of_hour(TimeMicros now) {
   // The hour barrier ships the open per-second report: the last second of
   // the hour must not wait for the next hour's first packet to arrive.
   flush_report();
-  std::vector<std::pair<std::uint32_t, SourceState>> expired;
-  table_.for_each([&](std::uint32_t addr, SourceState& s) {
-    if (now - s.last_seen > config_.flow_expiry) {
-      expired.emplace_back(addr, std::move(s));
-    }
+  // One pass drops every idle source; only scanners have events to emit,
+  // so only they are collected and sorted (a flood's one-packet sources
+  // are dropped in place).
+  Expired scanners;
+  table_.erase_if([&](std::uint32_t addr, const SourceState& s) {
+    if (now - s.last_seen <= config_.flow_expiry) return false;
+    if (s.is_scanner) scanners.emplace_back(addr, s);
+    return true;
   });
-  for (const auto& [addr, s] : expired) table_.erase(addr);
-  expire(std::move(expired));
+  end_flows(scanners);
 }
 
 void FlowDetector::finish() {
-  std::vector<std::pair<std::uint32_t, SourceState>> all;
-  all.reserve(table_.size());
-  table_.for_each([&](std::uint32_t addr, SourceState& s) {
-    all.emplace_back(addr, std::move(s));
+  Expired scanners;
+  table_.for_each([&](std::uint32_t addr, const SourceState& s) {
+    if (s.is_scanner) scanners.emplace_back(addr, s);
   });
   table_.clear();
-  expire(std::move(all));
+  end_flows(scanners);
   flush_report();
 }
 

@@ -6,14 +6,19 @@
 // always a hit on the first slot at the working load factor), and a direct
 // index into the value array.
 //
-// Deletions use tombstones; the table rehashes when full + tombstone slots
-// pass 3/4 of capacity, which also garbage-collects the tombstones.
-// Iteration order is the slot order — callers that need deterministic
-// event order (the detector's expiry sweep) sort what they collect, as
-// they already did for the unordered_map.
+// Values are plain data (trivially copyable): erase_if only tombstones a
+// slot and leaves its bytes in place, and find_or_insert resets a slot's
+// value when it claims one. Removal is one in-place pass (erase_if); the
+// table rehashes when full + tombstone slots pass 3/4 of capacity, which
+// also garbage-collects the tombstones — after a mass erase (an hour sweep
+// of one-packet flood sources) that rehash keeps the capacity instead of
+// doubling it. Iteration order is the slot order — callers that need
+// deterministic event order (the detector's expiry sweep) sort what they
+// collect.
 #pragma once
 
 #include <cstdint>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -21,9 +26,14 @@ namespace exiot::flow {
 
 template <typename V>
 class SourceTable {
+  static_assert(std::is_trivially_copyable_v<V>,
+                "erase_if leaves tombstoned values in place");
+
  public:
   std::size_t size() const { return size_; }
   bool empty() const { return size_ == 0; }
+  /// Slots allocated (0 before the first insert; a power of two after).
+  std::size_t capacity() const { return state_.size(); }
 
   /// Returns the value for `key`, default-constructing it on first use
   /// (the unordered_map operator[] contract the detector relies on).
@@ -46,6 +56,7 @@ class SourceTable {
         }
         state_[i] = kFull;
         keys_[i] = key;
+        values_[i] = V{};
         ++size_;
         return values_[i];
       }
@@ -53,22 +64,17 @@ class SourceTable {
     }
   }
 
-  /// Removes `key` if present; the value slot is reset to a fresh V so its
-  /// heap storage (sample buffers) is released immediately.
-  bool erase(std::uint32_t key) {
-    if (size_ == 0) return false;
-    const std::size_t mask = capacity() - 1;
-    std::size_t i = hash(key) & mask;
-    while (state_[i] != kEmpty) {
-      if (state_[i] == kFull && keys_[i] == key) {
+  /// One in-place pass in slot order: tombstones every entry for which
+  /// `pred(key, const V&)` returns true. The predicate must not insert or
+  /// erase.
+  template <typename Pred>
+  void erase_if(Pred&& pred) {
+    for (std::size_t i = 0; i < state_.size(); ++i) {
+      if (state_[i] == kFull && pred(keys_[i], std::as_const(values_[i]))) {
         state_[i] = kTomb;
-        values_[i] = V{};
         --size_;
-        return true;
       }
-      i = (i + 1) & mask;
     }
-    return false;
   }
 
   /// Visits every (key, value) pair in slot order. The callback must not
@@ -82,7 +88,6 @@ class SourceTable {
 
   void clear() {
     state_.assign(state_.size(), kEmpty);
-    for (auto& v : values_) v = V{};
     size_ = 0;
     used_ = 0;
   }
@@ -100,8 +105,6 @@ class SourceTable {
     return static_cast<std::size_t>(
         (key * 0x9E3779B97F4A7C15ull) >> 32);
   }
-
-  std::size_t capacity() const { return state_.size(); }
 
   void grow() {
     const std::size_t new_cap =
@@ -124,7 +127,7 @@ class SourceTable {
       while (state_[j] == kFull) j = (j + 1) & mask;
       state_[j] = kFull;
       keys_[j] = old_keys[i];
-      values_[j] = std::move(old_values[i]);
+      values_[j] = old_values[i];
     }
     used_ = size_;
   }

@@ -1,6 +1,7 @@
 #include "pipeline/ingest.h"
 
 #include <algorithm>
+#include <exception>
 #include <map>
 #include <thread>
 
@@ -113,34 +114,44 @@ void ThreadedIngest::consume_shard(std::size_t s, bool tracing_on) {
   Shard* sp = shards_[s].get();
   auto heartbeat = obs::Watchdog::attach(
       watchdog_, "ingest:" + std::to_string(s));
-  while (true) {
-    heartbeat.idle();  // Blocked on an empty buffer is not a stall.
-    auto batch = sp->buffer->pop();
-    heartbeat.busy();
-    if (!batch.has_value()) break;
-    if (tracing_on) {
-      // Stamp every batch, not just sampled ones: the kDetect spans
-      // rooted inside detector->process() need the pop time and the
-      // enqueue->dequeue gap of whatever batch they fire from.
-      sp->batch_pop_micros = obs::steady_micros();
-      const std::uint64_t handoff = batch->trace.handoff_micros;
-      sp->batch_wait_micros =
-          handoff != 0 && sp->batch_pop_micros > handoff
-              ? sp->batch_pop_micros - handoff
-              : 0;
+  try {
+    while (true) {
+      heartbeat.idle();  // Blocked on an empty buffer is not a stall.
+      auto batch = sp->buffer->pop();
+      heartbeat.busy();
+      if (!batch.has_value()) break;
+      if (tracing_on) {
+        // Stamp every batch, not just sampled ones: the kDetect spans
+        // rooted inside detector->process() need the pop time and the
+        // enqueue->dequeue gap of whatever batch they fire from.
+        sp->batch_pop_micros = obs::steady_micros();
+        const std::uint64_t handoff = batch->trace.handoff_micros;
+        sp->batch_wait_micros =
+            handoff != 0 && sp->batch_pop_micros > handoff
+                ? sp->batch_pop_micros - handoff
+                : 0;
+      }
+      for (std::size_t i = 0; i < batch->pkts.size(); ++i) {
+        sp->current_seq = batch->seqs[i];
+        sp->detector->process(batch->pkts[i]);
+      }
+      if (batch->trace.sampled()) {
+        const std::uint64_t now = obs::steady_micros();
+        tracer_->record(batch->trace, obs::SpanStage::kIngest,
+                        sp->batch_pop_micros,
+                        now - sp->batch_pop_micros,
+                        sp->batch_wait_micros, 0, batch->seq);
+      }
+      heartbeat.beat();
     }
-    for (std::size_t i = 0; i < batch->pkts.size(); ++i) {
-      sp->current_seq = batch->seqs[i];
-      sp->detector->process(batch->pkts[i]);
+  } catch (...) {
+    // Rethrown on the calling thread after the join. Closing the buffer
+    // makes further pushes to this shard fail instead of blocking on a
+    // consumer that is gone; what is still queued is dropped.
+    sp->error = std::current_exception();
+    sp->buffer->close();
+    while (sp->buffer->try_pop().has_value()) {
     }
-    if (batch->trace.sampled()) {
-      const std::uint64_t now = obs::steady_micros();
-      tracer_->record(batch->trace, obs::SpanStage::kIngest,
-                      sp->batch_pop_micros,
-                      now - sp->batch_pop_micros,
-                      sp->batch_wait_micros, 0, batch->seq);
-    }
-    heartbeat.beat();
   }
   sp->batch_pop_micros = 0;
   sp->batch_wait_micros = 0;
@@ -177,11 +188,25 @@ std::size_t ThreadedIngest::run_threaded_batched(const BatchSource& source) {
   const std::size_t n = shards_.size();
   for (auto& shard : shards_) shard->buffer->reopen();
 
+  // Closes the buffers and joins the consumers on every exit path, a
+  // throwing source included: destroying a joinable std::thread would end
+  // the process.
+  struct Consumers {
+    std::vector<std::unique_ptr<Shard>>& shards;
+    std::vector<std::thread> threads;
+    void join() {
+      for (auto& shard : shards) shard->buffer->close();
+      for (auto& t : threads) {
+        if (t.joinable()) t.join();
+      }
+    }
+    ~Consumers() { join(); }
+  } consumers{shards_, {}};
   const bool tracing = tracer_ != nullptr && tracer_->enabled();
-  std::vector<std::thread> consumers;
-  consumers.reserve(n);
+  consumers.threads.reserve(n);
   for (std::size_t s = 0; s < n; ++s) {
-    consumers.emplace_back([this, s, tracing] { consume_shard(s, tracing); });
+    consumers.threads.emplace_back(
+        [this, s, tracing] { consume_shard(s, tracing); });
   }
 
   // Producer: scatter each source batch's rows into per-shard open
@@ -192,28 +217,40 @@ std::size_t ThreadedIngest::run_threaded_batched(const BatchSource& source) {
     batch.pkts.reserve(config_.batch_size);
     batch.seqs.reserve(config_.batch_size);
   }
-  const std::size_t count =
-      source([this, &open, tracing](const net::PacketBatch& in) {
-        for (std::size_t i = 0; i < in.size(); ++i) {
-          const std::size_t s = shard_of(in[i].src);
-          Batch& batch = open[s];
-          batch.pkts.push_back(in[i]);
-          batch.seqs.push_back(seq_++);
-          if (batch.pkts.size() >= config_.batch_size) {
-            push_to_shard(s, std::move(batch), tracing);
-            batch = Batch();
-            batch.pkts.reserve(config_.batch_size);
-            batch.seqs.reserve(config_.batch_size);
-          }
+  std::size_t count = 0;
+  std::exception_ptr error;
+  try {
+    count = source([this, &open, tracing](const net::PacketBatch& in) {
+      for (std::size_t i = 0; i < in.size(); ++i) {
+        const std::size_t s = shard_of(in[i].src);
+        Batch& batch = open[s];
+        batch.pkts.push_back(in[i]);
+        batch.seqs.push_back(seq_++);
+        if (batch.pkts.size() >= config_.batch_size) {
+          push_to_shard(s, std::move(batch), tracing);
+          batch = Batch();
+          batch.pkts.reserve(config_.batch_size);
+          batch.seqs.reserve(config_.batch_size);
         }
-      });
+      }
+    });
+  } catch (...) {
+    error = std::current_exception();
+  }
+  // Rows delivered before a source error still reach their shards, as they
+  // reach the one detector at one shard, so every shard count holds the
+  // same detector state when the error surfaces.
   for (std::size_t s = 0; s < n; ++s) {
     if (!open[s].pkts.empty()) {
       push_to_shard(s, std::move(open[s]), tracing);
     }
-    shards_[s]->buffer->close();
   }
-  for (auto& t : consumers) t.join();
+  consumers.join();
+  for (auto& shard : shards_) {
+    if (error == nullptr) error = shard->error;
+    shard->error = nullptr;
+  }
+  if (error != nullptr) std::rethrow_exception(error);
   return count;
 }
 

@@ -20,15 +20,19 @@
 //     (seq, src, kind) — exactly the order a single detector would have
 //     emitted them, so the feed output is byte-identical for any shard
 //     count (virtual-time determinism);
-//   - per-shard partial SecondReports are summed by second and replayed
-//     in ascending second order, reproducing the global report stream.
+//   - per-shard partial SecondReports are summed by second (their flat
+//     per-port counts port by port) and replayed in ascending second
+//     order, reproducing the global report stream.
 //
 // `num_shards == 1` falls back to a fully single-threaded path (no
 // buffers, no threads, no scatter: source batches go straight to the one
-// detector) with the same deferred-event semantics.
+// detector) with the same deferred-event semantics. At any shard count an
+// exception from the source surfaces in the caller after the consumer
+// threads are joined, with the same rows detected as at one shard.
 #pragma once
 
 #include <cstdint>
+#include <exception>
 #include <functional>
 #include <memory>
 #include <vector>
@@ -81,7 +85,10 @@ class ThreadedIngest {
   /// batches (one std::function call per batch, one detector call per
   /// row), runs the expiry sweep at `hour_end`, and replays all detector
   /// events into the sink before returning. Returns the number of packets
-  /// processed.
+  /// processed. An exception from `source` (or from a shard's consumer
+  /// thread) reaches the caller after every consumer has been joined; the
+  /// rows delivered before it stay detected, the barrier does not run, and
+  /// the stage can run its next hour.
   std::size_t run_hour_batched(const BatchSource& source,
                                TimeMicros hour_end);
 
@@ -138,6 +145,9 @@ class ThreadedIngest {
     /// joined).
     std::uint64_t batch_pop_micros = 0;
     std::uint64_t batch_wait_micros = 0;
+    /// What the shard's consumer thread threw, if anything; read and
+    /// cleared by the calling thread after the join.
+    std::exception_ptr error;
   };
 
   std::size_t shard_of(Ipv4 src) const;

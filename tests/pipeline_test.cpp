@@ -7,6 +7,7 @@
 #include <atomic>
 #include <filesystem>
 #include <sstream>
+#include <stdexcept>
 #include <thread>
 #include <unistd.h>
 
@@ -225,6 +226,86 @@ TEST(ThreadedIngestTest, ShardCountInvariantEventSequence) {
   // The merged multi-shard event stream is byte-identical.
   EXPECT_EQ(single, ingest_event_log(3));
   EXPECT_EQ(single, ingest_event_log(5));
+}
+
+TEST(ThreadedIngestTest, SourceErrorReachesCaller) {
+  // Eight sources at 1 SYN/s. Hour 0's source throws after delivering 60
+  // seconds of rows; hour 1's source delivers 100 more seconds. The error
+  // must reach the caller at every shard count (with consumer threads
+  // running, not by terminating the process), the next hour must run, and
+  // the rows delivered before the error must stay detected: every shard
+  // count then replays the same event log.
+  std::vector<Ipv4> sources;
+  for (std::uint8_t s = 1; s <= 8; ++s) sources.emplace_back(10, 0, s, 1);
+  auto rows = [&sources](int first_second, int n) {
+    std::vector<net::PacketBatch> batches(1);
+    for (int i = first_second; i < first_second + n; ++i) {
+      for (const Ipv4& src : sources) {
+        if (batches.back().size() == 40) batches.emplace_back();
+        batches.back().push_back(net::make_syn(
+            seconds(i), src, Ipv4(44, 0, 0, 1), 40000, 23,
+            static_cast<std::uint32_t>(i)));
+      }
+    }
+    return batches;
+  };
+  const std::vector<net::PacketBatch> before_error = rows(0, 60);
+  const std::vector<net::PacketBatch> next_hour = rows(60, 100);
+  const std::size_t delivered = 60 * sources.size();
+  const std::size_t next_rows = 100 * sources.size();
+
+  std::string reference;
+  for (int shards : {1, 2, 4}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    std::ostringstream log;
+    flow::DetectorEvents sink;
+    sink.on_scanner = [&log](const flow::FlowSummary& s) {
+      log << "SCANNER " << s.src.to_string() << " " << s.detect_time << "\n";
+    };
+    sink.on_sample = [&log](Ipv4 src, const std::vector<net::Packet>& p) {
+      log << "SAMPLE " << src.to_string() << " " << p.size() << "\n";
+    };
+    sink.on_flow_end = [&log](const flow::FlowSummary& s) {
+      log << "END " << s.src.to_string() << " " << s.total_packets << "\n";
+    };
+    sink.on_report = [&log](const flow::SecondReport& r) {
+      log << "REPORT " << r.second_start << " " << r.total << "\n";
+    };
+    IngestConfig config;
+    config.num_shards = shards;
+    config.buffer_capacity = 1;  // The producer blocks on full buffers.
+    config.batch_size = 16;
+    {
+      ThreadedIngest ingest(config, flow::DetectorConfig{}, std::move(sink),
+                            {23});
+      EXPECT_THROW(
+          ingest.run_hour_batched(
+              [&before_error](const ThreadedIngest::BatchFn& fn)
+                  -> std::size_t {
+                for (const auto& batch : before_error) fn(batch);
+                throw std::runtime_error("capture file truncated");
+              },
+              kMicrosPerHour),
+          std::runtime_error);
+      EXPECT_EQ(ingest.stats().packets_processed, delivered);
+      EXPECT_EQ(ingest.run_hour_batched(
+                    [&next_hour, next_rows](const ThreadedIngest::BatchFn& fn) {
+                      for (const auto& batch : next_hour) fn(batch);
+                      return next_rows;
+                    },
+                    2 * kMicrosPerHour),
+                next_rows);
+      ingest.finish();
+      EXPECT_EQ(ingest.stats().packets_processed, delivered + next_rows);
+      EXPECT_EQ(ingest.stats().scanners_detected, sources.size());
+    }  // The stage is destroyed with no thread left running.
+    if (shards == 1) {
+      reference = log.str();
+      EXPECT_NE(reference.find("SCANNER 10.0.8.1"), std::string::npos);
+    } else {
+      EXPECT_EQ(log.str(), reference);
+    }
+  }
 }
 
 // -------------------------------------------------- Pipeline determinism ----
