@@ -38,7 +38,7 @@ int main() {
     for (int i = 0; i < 400; ++i) {
       ts += static_cast<TimeMicros>(
           rng.exponential(host.sessions[0].rate) * kMicrosPerSecond);
-      flow.packets.push_back(synth.make_probe(ts));
+      synth.make_probe_into(ts, flow.packets.emplace_back());
     }
     flows.push_back(std::move(flow));
   }

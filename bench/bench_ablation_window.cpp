@@ -33,7 +33,7 @@ ml::Dataset flows_for(const inet::BehaviorRoster& roster, int per_iot_family,
       for (int k = 0; k < 200; ++k) {
         ts += static_cast<TimeMicros>(rng.exponential(rate) *
                                       kMicrosPerSecond);
-        pkts.push_back(synth.make_probe(ts));
+        synth.make_probe_into(ts, pkts.emplace_back());
       }
       data.add(ml::flow_features(pkts), behavior.iot ? 1 : 0);
     }

@@ -91,7 +91,7 @@ Workload build_workload(std::size_t records, std::uint64_t seed) {
     job.summary.detect_time = job.summary.first_seen + 500;
     job.bundle.src = src;
     for (int p = 0; p < 200; ++p) {
-      job.bundle.sample.push_back(synth.make_probe(p * 100000));
+      synth.make_probe_into(p * 100000, job.bundle.sample.emplace_back());
     }
     probe::GrabbedBanner banner;
     banner.port = 80;

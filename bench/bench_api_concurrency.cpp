@@ -441,6 +441,8 @@ int main() {
   api::ApiServer cached_server(feed);
   cached_server.add_token("bench");
   api::ResponseCache cache(64 << 20);
+  obs::MetricsRegistry cache_metrics;
+  cache.instrument(cache_metrics);
   cached_server.attach_cache(&cache, [] { return std::uint64_t{1}; });
   const auto cached_expected =
       reference_bytes(cached_server, cacheable_targets());
@@ -457,11 +459,11 @@ int main() {
   total_mismatched += uncached.mismatched + with_cache.mismatched;
   const double cache_speedup =
       uncached.rps > 0.0 ? with_cache.rps / uncached.rps : 0.0;
-  const double hit_rate =
-      cache.hits() + cache.misses() > 0
-          ? static_cast<double>(cache.hits()) /
-                static_cast<double>(cache.hits() + cache.misses())
-          : 0.0;
+  const auto hits = static_cast<double>(
+      cache_metrics.counter_value("exiot_api_cache_hits_total"));
+  const auto misses = static_cast<double>(
+      cache_metrics.counter_value("exiot_api_cache_misses_total"));
+  const double hit_rate = hits + misses > 0 ? hits / (hits + misses) : 0.0;
   std::printf("%8s %12.0f %10s %10zu %12s\n", "off", uncached.rps, "-",
               uncached.served, "-");
   std::printf("%8s %12.0f %9.2fx %10zu %11.1f%%\n", "on", with_cache.rps,

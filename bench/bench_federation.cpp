@@ -54,10 +54,10 @@ Run run_federated(const benchx::Sim& sim, int days,
   auto pipe = benchx::run_pipeline(sim, days, config);
   Run run;
   run.elapsed = now_seconds(start);
-  const auto stats = pipe->stats();
-  run.packets = stats.packets_processed;
-  run.scanners = stats.scanners_detected;
-  run.records = stats.records_published;
+  const obs::MetricsRegistry& m = pipe->metrics();
+  run.packets = m.counter_value("exiot_detector_packets_processed_total");
+  run.scanners = m.counter_value("exiot_detector_scanners_detected_total");
+  run.records = m.counter_value("exiot_feed_records_published_total");
   double sum_h = 0.0;
   std::uint64_t published = 0;
   for (const auto& record :

@@ -2,8 +2,8 @@
 // hour (batched against per-item where both exist), plus the synthesizer
 // itself:
 //
-//   decode      — TraceDecoder::next() per packet vs next_batch() filling
-//     a PacketBatch (header overlay, no per-packet Result).
+//   decode      — TraceDecoder::next_batch() filling a PacketBatch
+//     (header overlay, no per-packet Result).
 //   backscatter — net::is_backscatter per packet, the filter
 //     FlowDetector::process applies to every packet.
 //   forest      — RandomForest::predict_score per row vs the
@@ -140,15 +140,10 @@ int main() {
                  packets.size(), kBatch);
   }
 
-  // --- Trace decode: scalar next() vs next_batch() header overlay. ---
-  const std::vector<std::uint8_t> bytes = trace::encode_packets(packets);
-  const double decode_scalar = best_throughput(3, [&bytes] {
-    trace::TraceDecoder decoder(bytes);
-    net::Packet pkt;
-    std::size_t n = 0;
-    while (decoder.next(pkt)) ++n;
-    return n;
-  });
+  // --- Trace decode: next_batch() header overlay. ---
+  trace::TraceEncoder encoder;
+  for (const auto& pkt : packets) encoder.add(pkt);
+  const std::vector<std::uint8_t> bytes = encoder.finish();
   const double decode_batch = best_throughput(3, [&bytes] {
     trace::TraceDecoder decoder(bytes);
     net::PacketBatch batch;
@@ -162,9 +157,8 @@ int main() {
     }
     return n;
   });
-  const Row decode_rows[] = {{"scalar", decode_scalar},
-                             {"batch", decode_batch}};
-  print_table(json, "decode", "pps", "pps", decode_rows, 2);
+  const Row decode_rows[] = {{"batch", decode_batch}};
+  print_table(json, "decode", "pps", "pps", decode_rows, 1);
   if (json != nullptr) std::fprintf(json, ",\n");
 
   // --- Backscatter filter: the per-packet predicate. ---

@@ -11,6 +11,10 @@
 //
 //   ./bench_ingest_throughput            (EXIOT_SCALE=0.2 EXIOT_SEED=42)
 //
+// Every cell is the best of kReps repetitions, and each repetition times
+// back-to-back hours until it holds kMinRepSeconds of work: one hour is
+// only ~20 ms here, too short to time on a loaded host.
+//
 // Both tables are also written to BENCH_ingest.json for the perf
 // trajectory. Speedups are relative to the single-threaded configuration
 // and can only materialize on multi-core hardware — the binary prints the
@@ -42,6 +46,33 @@ double env_double(const char* name, double fallback) {
 /// Rows per replayed batch: the pipeline's default producer_batch_size.
 constexpr std::size_t kReplayBatch = 1024;
 
+/// Repetitions per cell, and the timed work each repetition holds.
+constexpr int kReps = 5;
+constexpr double kMinRepSeconds = 0.3;
+
+/// Packets moved by one timed run, and its wall time.
+struct Timed {
+  std::size_t packets = 0;
+  double seconds = 0.0;
+};
+
+/// Best-of-kReps packets per second of `run() -> Timed`, each repetition
+/// summing back-to-back runs until it holds kMinRepSeconds of timed work.
+template <typename Run>
+double best_pps(Run&& run) {
+  double best = 0.0;
+  for (int rep = 0; rep < kReps; ++rep) {
+    double packets = 0.0, seconds = 0.0;
+    while (seconds < kMinRepSeconds) {
+      const Timed timed = run();
+      packets += static_cast<double>(timed.packets);
+      seconds += timed.seconds;
+    }
+    if (packets / seconds > best) best = packets / seconds;
+  }
+  return best;
+}
+
 pipeline::ThreadedIngest make_ingest(int shards) {
   pipeline::IngestConfig config;
   config.num_shards = shards;
@@ -60,7 +91,7 @@ struct Hour {
   std::size_t packets = 0;
 };
 
-double run_replay(const Hour& hour, int shards) {
+Timed run_replay(const Hour& hour, int shards) {
   pipeline::ThreadedIngest ingest = make_ingest(shards);
   const auto start = std::chrono::steady_clock::now();
   ingest.run_hour_batched(
@@ -70,13 +101,12 @@ double run_replay(const Hour& hour, int shards) {
       },
       kMicrosPerHour);
   ingest.finish();
-  const double elapsed =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count();
-  return static_cast<double>(hour.packets) / elapsed;
+  return {hour.packets, std::chrono::duration<double>(
+                            std::chrono::steady_clock::now() - start)
+                            .count()};
 }
 
-double run_live(const inet::Population& population, Cidr aperture,
+Timed run_live(const inet::Population& population, Cidr aperture,
                 int producers, int shards, std::size_t* packets_out,
                 obs::Tracer* tracer = nullptr) {
   pipeline::ProducerConfig producer_config;
@@ -100,11 +130,10 @@ double run_live(const inet::Population& population, Cidr aperture,
       },
       kMicrosPerHour);
   ingest.finish();
-  const double elapsed =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count();
   if (packets_out != nullptr) *packets_out = count;
-  return static_cast<double>(count) / elapsed;
+  return {count, std::chrono::duration<double>(
+                     std::chrono::steady_clock::now() - start)
+                     .count()};
 }
 
 }  // namespace
@@ -150,11 +179,8 @@ int main() {
   double base = 0.0;
   bool first = true;
   for (const int shards : {1, 2, 4, 8}) {
-    double best = 0.0;
-    for (int rep = 0; rep < 3; ++rep) {
-      const double pps = run_replay(hour, shards);
-      if (pps > best) best = pps;
-    }
+    const double best =
+        best_pps([&hour, shards] { return run_replay(hour, shards); });
     if (shards == 1) base = best;
     std::printf("%8d %14.0f %9.2fx\n", shards, best, best / base);
     if (json != nullptr) {
@@ -175,13 +201,11 @@ int main() {
   first = true;
   for (const int producers : {1, 2, 4}) {
     for (const int shards : {1, 2, 4}) {
-      double best = 0.0;
       std::size_t live_packets = 0;
-      for (int rep = 0; rep < 2; ++rep) {
-        const double pps =
-            run_live(population, aperture, producers, shards, &live_packets);
-        if (pps > best) best = pps;
-      }
+      const double best = best_pps([&] {
+        return run_live(population, aperture, producers, shards,
+                        &live_packets);
+      });
       if (live_packets != hour.packets) {
         std::printf("!! live packet count %zu != replay %zu "
                     "(determinism violation)\n",
@@ -216,11 +240,8 @@ int main() {
     obs::Tracer tracer(obs::TracerConfig{rate < 0.0 ? 0.0 : rate, 4096},
                        &scratch);
     obs::Tracer* arg = rate < 0.0 ? nullptr : &tracer;
-    double best = 0.0;
-    for (int rep = 0; rep < 3; ++rep) {
-      const double pps = run_live(population, aperture, 1, 1, nullptr, arg);
-      if (pps > best) best = pps;
-    }
+    const double best = best_pps(
+        [&] { return run_live(population, aperture, 1, 1, nullptr, arg); });
     if (rate < 0.0) trace_base = best;
     const char* label = rate < 0.0 ? "no tracer"
                         : rate == 0.0 ? "0% (disabled)" : "100%";

@@ -34,7 +34,7 @@ int main() {
     for (int i = 0; i < 200; ++i) {
       ts += static_cast<TimeMicros>(
           rng.exponential(host.sessions[0].rate) * kMicrosPerSecond);
-      pkts.push_back(synth.make_probe(ts));
+      synth.make_probe_into(ts, pkts.emplace_back());
     }
     data.add(ml::flow_features(pkts), behavior->iot ? 1 : 0);
   }

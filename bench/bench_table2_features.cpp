@@ -24,7 +24,7 @@ int main() {
   TimeMicros ts = 0;
   for (int i = 0; i < 200; ++i) {
     ts += static_cast<TimeMicros>(rng.exponential(0.5) * kMicrosPerSecond);
-    sample.push_back(synth.make_probe(ts));
+    synth.make_probe_into(ts, sample.emplace_back());
   }
   auto features = ml::flow_features(sample);
 
@@ -52,7 +52,7 @@ int main() {
     for (int i = 0; i < 200; ++i) {
       t += static_cast<TimeMicros>(
           rng.exponential(host.sessions[0].rate) * kMicrosPerSecond);
-      pkts.push_back(hsynth.make_probe(t));
+      hsynth.make_probe_into(t, pkts.emplace_back());
     }
     data.add(ml::flow_features(pkts), behavior->iot ? 1 : 0);
   }

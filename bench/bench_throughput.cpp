@@ -30,7 +30,7 @@ std::vector<net::Packet> make_mix(int n) {
   for (int i = 0; i < n; ++i) {
     const TimeMicros ts = i * 100;
     switch (rng.next_below(4)) {
-      case 0: out.push_back(ssh.make_probe(ts)); break;
+      case 0: ssh.make_probe_into(ts, out.emplace_back()); break;
       case 3: {
         net::Packet p = net::make_syn(ts, Ipv4(9, 9, 9, 9),
                                       Ipv4(44, 1, 1, 1), 80, 4000);
@@ -38,7 +38,7 @@ std::vector<net::Packet> make_mix(int n) {
         out.push_back(p);
         break;
       }
-      default: out.push_back(mirai.make_probe(ts)); break;
+      default: mirai.make_probe_into(ts, out.emplace_back()); break;
     }
   }
   return out;
@@ -47,7 +47,7 @@ std::vector<net::Packet> make_mix(int n) {
 void BM_WireParse(benchmark::State& state) {
   auto pkts = make_mix(1024);
   std::vector<std::vector<std::uint8_t>> wires;
-  for (const auto& p : pkts) wires.push_back(net::serialize(p));
+  for (const auto& p : pkts) net::serialize_to(p, wires.emplace_back());
   std::size_t i = 0;
   for (auto _ : state) {
     auto parsed = net::parse(wires[i % wires.size()]);
@@ -99,12 +99,20 @@ void BM_FlowDetector(benchmark::State& state) {
 BENCHMARK(BM_FlowDetector)->Arg(1 << 14)->Arg(1 << 17);
 
 void BM_TraceDecode(benchmark::State& state) {
-  auto bytes = trace::encode_packets(make_mix(4096));
+  trace::TraceEncoder encoder;
+  for (const auto& p : make_mix(4096)) encoder.add(p);
+  const std::vector<std::uint8_t> bytes = encoder.finish();
+  net::PacketBatch batch;
+  batch.reserve(1024);
   for (auto _ : state) {
     trace::TraceDecoder decoder(bytes);
-    net::Packet pkt;
     std::size_t n = 0;
-    while (decoder.next(pkt)) ++n;
+    for (;;) {
+      batch.clear();
+      const std::size_t got = decoder.next_batch(batch, 1024);
+      if (got == 0) break;
+      n += got;
+    }
     benchmark::DoNotOptimize(n);
   }
   state.SetItemsProcessed(state.iterations() * 4096);

@@ -31,17 +31,22 @@ int main(int argc, char** argv) {
   pipeline.run_days(0, 1);
   pipeline.finish();
 
-  const auto& stats = pipeline.stats();
+  const obs::MetricsRegistry& metrics = pipeline.metrics();
+  auto counter = [&metrics](const char* name, const obs::Labels& labels = {}) {
+    return static_cast<unsigned long long>(
+        metrics.counter_value(name, labels));
+  };
+  auto by_label = [&counter](const char* label) {
+    return counter("exiot_feed_records_by_label_total", {{"label", label}});
+  };
   std::printf("processed %llu packets, detected %llu scanners, "
               "published %llu records\n",
-              static_cast<unsigned long long>(stats.packets_processed),
-              static_cast<unsigned long long>(stats.scanners_detected),
-              static_cast<unsigned long long>(stats.records_published));
+              counter("exiot_detector_packets_processed_total"),
+              counter("exiot_detector_scanners_detected_total"),
+              counter("exiot_feed_records_published_total"));
   std::printf("labels: IoT=%llu non-IoT=%llu Benign=%llu unlabeled=%llu\n",
-              static_cast<unsigned long long>(stats.iot_records),
-              static_cast<unsigned long long>(stats.noniot_records),
-              static_cast<unsigned long long>(stats.benign_records),
-              static_cast<unsigned long long>(stats.unlabeled_records));
+              by_label(feed::kLabelIot), by_label(feed::kLabelNonIot),
+              by_label(feed::kLabelBenign), by_label(feed::kLabelUnlabeled));
 
   // Consume the feed the way a SOC would: through the API.
   api::ApiServer server(pipeline.feed());

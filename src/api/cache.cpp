@@ -47,22 +47,18 @@ std::optional<HttpResponse> ResponseCache::lookup(const std::string& key,
   std::lock_guard<std::mutex> lock(mutex_);
   auto it = entries_.find(key);
   if (it == entries_.end()) {
-    ++misses_;
     misses_c_->inc();
     return std::nullopt;
   }
   if (it->second.version != version) {
     // A commit landed since this entry was built: exact invalidation.
-    ++stale_;
     stale_c_->inc();
     erase_locked(it);
-    ++misses_;
     misses_c_->inc();
     publish_gauges();
     return std::nullopt;
   }
   lru_.splice(lru_.begin(), lru_, it->second.lru);
-  ++hits_;
   hits_c_->inc();
   return it->second.response;
 }
@@ -87,31 +83,6 @@ void ResponseCache::insert(const std::string& key, std::uint64_t version,
   publish_gauges();
 }
 
-std::uint64_t ResponseCache::hits() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return hits_;
-}
-
-std::uint64_t ResponseCache::misses() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return misses_;
-}
-
-std::uint64_t ResponseCache::evictions() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return evictions_;
-}
-
-std::size_t ResponseCache::bytes() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return bytes_;
-}
-
-std::size_t ResponseCache::entries() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return entries_.size();
-}
-
 std::size_t ResponseCache::entry_bytes(const std::string& key,
                                        const HttpResponse& response) {
   std::size_t total = key.size() + response.body.size();
@@ -124,7 +95,6 @@ std::size_t ResponseCache::entry_bytes(const std::string& key,
 void ResponseCache::evict_to_fit() {
   while (bytes_ > capacity_ && !lru_.empty()) {
     auto victim = entries_.find(lru_.back());
-    ++evictions_;
     evictions_c_->inc();
     erase_locked(victim);
   }

@@ -62,13 +62,6 @@ class ResponseCache {
   void insert(const std::string& key, std::uint64_t version,
               const HttpResponse& response);
 
-  std::size_t capacity_bytes() const { return capacity_; }
-  std::uint64_t hits() const;
-  std::uint64_t misses() const;
-  std::uint64_t evictions() const;
-  std::size_t bytes() const;
-  std::size_t entries() const;
-
  private:
   struct Entry {
     std::uint64_t version = 0;
@@ -90,10 +83,6 @@ class ResponseCache {
   std::unordered_map<std::string, Entry> entries_;
   std::list<std::string> lru_;  // Front = most recently used.
   std::size_t bytes_ = 0;
-  std::uint64_t hits_ = 0;
-  std::uint64_t misses_ = 0;
-  std::uint64_t stale_ = 0;
-  std::uint64_t evictions_ = 0;
 
   obs::Counter* hits_c_ = nullptr;
   obs::Counter* misses_c_ = nullptr;

@@ -49,7 +49,6 @@ TokenBucketLimiter::Decision TokenBucketLimiter::check_at(
     bucket.tokens -= 1.0;
     return Decision{};
   }
-  ++throttled_;
   throttled_c_->inc();
   Decision decision;
   decision.allowed = false;
@@ -57,11 +56,6 @@ TokenBucketLimiter::Decision TokenBucketLimiter::check_at(
   decision.retry_after_s =
       std::max<std::int64_t>(1, static_cast<std::int64_t>(std::ceil(deficit_s)));
   return decision;
-}
-
-std::uint64_t TokenBucketLimiter::throttled() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return throttled_;
 }
 
 }  // namespace exiot::api

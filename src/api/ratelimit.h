@@ -53,8 +53,6 @@ class TokenBucketLimiter {
   Decision check_at(const std::string& token, std::uint64_t now_micros);
 
   bool enabled() const { return config_.rate_per_s > 0.0; }
-  const RateLimitConfig& config() const { return config_; }
-  std::uint64_t throttled() const;
 
  private:
   struct Bucket {
@@ -65,7 +63,6 @@ class TokenBucketLimiter {
   RateLimitConfig config_;
   mutable std::mutex mutex_;
   std::unordered_map<std::string, Bucket> buckets_;
-  std::uint64_t throttled_ = 0;
   obs::Counter* throttled_c_ = nullptr;
   obs::Gauge* tokens_g_ = nullptr;
 };

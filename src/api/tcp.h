@@ -139,7 +139,6 @@ class TcpListener {
   void stop();
 
   std::uint16_t port() const { return port_; }
-  const TcpListenerOptions& options() const { return options_; }
 
  private:
   /// One connection's state machine, owned by exactly one event loop.

@@ -11,8 +11,6 @@ std::atomic<int> g_level{static_cast<int>(LogLevel::kWarn)};
 std::mutex g_mutex;
 LogSink g_sink;  // Empty = stderr default; guarded by g_mutex.
 
-std::atomic<int> g_format{static_cast<int>(LogFormat::kText)};
-
 const char* level_name(LogLevel level) {
   switch (level) {
     case LogLevel::kDebug: return "DEBUG";
@@ -22,32 +20,6 @@ const char* level_name(LogLevel level) {
     case LogLevel::kOff: return "OFF";
   }
   return "?";
-}
-
-/// Minimal JSON string escaping (the logger cannot depend on the json
-/// library — json depends on common).
-std::string json_escaped(const std::string& text) {
-  std::string out;
-  out.reserve(text.size() + 2);
-  for (const char c : text) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned char>(c));
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
 }
 
 }  // namespace
@@ -65,30 +37,11 @@ void set_log_sink(LogSink sink) {
   g_sink = std::move(sink);
 }
 
-void set_log_format(LogFormat format) {
-  g_format.store(static_cast<int>(format), std::memory_order_relaxed);
-}
-
-LogFormat log_format() {
-  return static_cast<LogFormat>(g_format.load(std::memory_order_relaxed));
-}
-
 void log_message(LogLevel level, const std::string& component,
                  const std::string& message) {
   std::lock_guard<std::mutex> lock(g_mutex);
   if (g_sink) {
     g_sink(level, component, message);
-    return;
-  }
-  if (log_format() == LogFormat::kJson) {
-    std::string line = "{\"level\":\"";
-    line += level_name(level);
-    line += "\",\"component\":\"";
-    line += json_escaped(component);
-    line += "\",\"message\":\"";
-    line += json_escaped(message);
-    line += "\"}\n";
-    std::fputs(line.c_str(), stderr);
     return;
   }
   std::fprintf(stderr, "[%s] %s: %s\n", level_name(level), component.c_str(),

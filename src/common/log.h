@@ -1,8 +1,7 @@
 // Leveled logging used by operational modules (pipeline, API). Quiet by
 // default so tests and benches stay readable; raise the level to debug a run.
 // The sink is pluggable (set_log_sink) so deployments can forward log lines
-// to a collector; the default writes "[LEVEL] component: message" to stderr,
-// or one JSON object per line with set_log_format(LogFormat::kJson).
+// to a collector; the default writes "[LEVEL] component: message" to stderr.
 #pragma once
 
 #include <functional>
@@ -28,15 +27,6 @@ using LogSink =
 /// the same mutex log_message holds while invoking the sink, so no line is
 /// ever delivered to a half-replaced sink.
 void set_log_sink(LogSink sink);
-
-/// Output shape of the default stderr sink (custom sinks format
-/// themselves). kText: "[LEVEL] component: message". kJson: one
-/// {"level","component","message"} object per line, for collectors that
-/// ingest structured logs.
-enum class LogFormat { kText = 0, kJson = 1 };
-
-void set_log_format(LogFormat format);
-LogFormat log_format();
 
 /// Routes a line through the active sink if enabled (stderr by default).
 void log_message(LogLevel level, const std::string& component,

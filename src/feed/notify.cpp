@@ -46,8 +46,7 @@ int NotificationEngine::on_record_published(const CtiRecord& record,
     ++sent;
   }
 
-  if (notify_hosting_org_ && !record.abuse_email.empty() &&
-      record.label == kLabelIot) {
+  if (!record.abuse_email.empty() && record.label == kLabelIot) {
     sink_(EmailMessage{record.abuse_email,
                        "[eX-IoT] Compromised IoT device in your network",
                        body, now});

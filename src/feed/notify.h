@@ -31,15 +31,11 @@ class NotificationEngine {
   /// Mechanism 1: subscribe an alarm for an IP block.
   void subscribe(const std::string& email, Cidr block);
 
-  /// Mechanism 2 master switch: WHOIS-based notification of the hosting
-  /// organization (on by default).
-  void set_notify_hosting_org(bool enabled) { notify_hosting_org_ = enabled; }
-
-  /// Feeds a freshly published record through both mechanisms. Returns the
+  /// Feeds a freshly published record through both mechanisms: every
+  /// subscription whose block holds the source, then the hosting
+  /// organization of an IoT record (WHOIS abuse address). Returns the
   /// number of emails generated. Benign records notify nobody.
   int on_record_published(const CtiRecord& record, TimeMicros now);
-
-  std::size_t subscription_count() const { return subscriptions_.size(); }
 
  private:
   struct Subscription {
@@ -49,7 +45,6 @@ class NotificationEngine {
 
   EmailSink sink_;
   std::vector<Subscription> subscriptions_;
-  bool notify_hosting_org_ = true;
 };
 
 }  // namespace exiot::feed

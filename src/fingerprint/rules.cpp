@@ -338,7 +338,6 @@ void UnknownBannerLog::instrument(obs::MetricsRegistry& registry) {
 bool UnknownBannerLog::offer(const std::string& banner) {
   if (!looks_like_device_text(banner)) return false;
   if (entries_.size() >= capacity_) {
-    ++dropped_;
     dropped_c_->inc();
     return false;
   }

@@ -133,13 +133,10 @@ class UnknownBannerLog {
   bool offer(const std::string& banner);
 
   const std::vector<std::string>& entries() const { return entries_; }
-  /// Promising banners discarded because the log was full.
-  std::size_t dropped() const { return dropped_; }
   std::size_t capacity() const { return capacity_; }
 
  private:
   std::size_t capacity_;
-  std::size_t dropped_ = 0;
   std::vector<std::string> entries_;
   obs::Counter* dropped_c_;
 };

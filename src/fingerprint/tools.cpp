@@ -2,28 +2,6 @@
 
 namespace exiot::fingerprint {
 
-bool matches_mirai(const net::Packet& pkt) {
-  return pkt.proto == net::IpProto::kTcp && pkt.seq == pkt.dst.value();
-}
-
-bool matches_zmap(const net::Packet& pkt) {
-  return pkt.ip_id == 54321;
-}
-
-bool matches_masscan(const net::Packet& pkt) {
-  return pkt.proto == net::IpProto::kTcp &&
-         pkt.ip_id ==
-             ((pkt.dst.value() ^ pkt.dst_port ^ pkt.seq) & 0xFFFF);
-}
-
-bool matches_nmap(const net::Packet& pkt) {
-  if (pkt.proto != net::IpProto::kTcp) return false;
-  const bool window_ladder = pkt.window == 1024 || pkt.window == 2048 ||
-                             pkt.window == 3072 || pkt.window == 4096;
-  return window_ladder && pkt.opts.mss.has_value() &&
-         *pkt.opts.mss == 1460;
-}
-
 bool matches_unicorn(const std::vector<net::Packet>& sample) {
   int tcp = 0;
   std::uint16_t src_port = 0;

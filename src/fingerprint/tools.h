@@ -24,11 +24,6 @@ struct ToolMatch {
 /// otherwise. Tools checked: Mirai, ZMap, MASSCAN, Nmap, Unicornscan.
 ToolMatch fingerprint_tool(const std::vector<net::Packet>& sample);
 
-/// Individual signature predicates (exposed for tests and ablations).
-bool matches_mirai(const net::Packet& pkt);
-bool matches_zmap(const net::Packet& pkt);
-bool matches_masscan(const net::Packet& pkt);
-bool matches_nmap(const net::Packet& pkt);
 /// Unicornscan is identified from the whole sample: fixed 4096 window,
 /// optionless SYNs, and one constant source port across the run.
 bool matches_unicorn(const std::vector<net::Packet>& sample);

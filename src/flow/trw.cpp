@@ -4,7 +4,6 @@ namespace exiot::flow {
 
 TrwVerdict TrwState::observe(bool success) {
   if (verdict_ != TrwVerdict::kPending) return verdict_;
-  ++observations_;
   if (success) {
     log_ratio_ += std::log(params_.theta1 / params_.theta0);
   } else {

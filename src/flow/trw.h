@@ -46,7 +46,6 @@ class TrwState {
 
   TrwVerdict verdict() const { return verdict_; }
   double log_likelihood_ratio() const { return log_ratio_; }
-  int observations() const { return observations_; }
 
   /// The number of consecutive failures needed to cross the scanner
   /// threshold from a fresh state (closed form; used to relate TRW to the
@@ -56,7 +55,6 @@ class TrwState {
  private:
   TrwParams params_;
   double log_ratio_ = 0.0;
-  int observations_ = 0;
   TrwVerdict verdict_ = TrwVerdict::kPending;
 };
 

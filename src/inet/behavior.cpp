@@ -336,14 +336,6 @@ BehaviorRoster BehaviorRoster::standard() {
   return r;
 }
 
-const ScanBehavior& BehaviorRoster::sample_iot(Rng& rng) const {
-  return iot_families[rng.weighted_index(iot_weights)];
-}
-
-const ScanBehavior& BehaviorRoster::sample_generic(Rng& rng) const {
-  return generic_families[rng.weighted_index(generic_weights)];
-}
-
 PacketSynthesizer::PacketSynthesizer(const ScanBehavior& behavior, Ipv4 src,
                                      Cidr telescope, std::uint64_t seed)
     : behavior_(behavior),
@@ -368,12 +360,6 @@ PacketSynthesizer::PacketSynthesizer(const ScanBehavior& behavior, Ipv4 src,
   src_port_base_ =
       static_cast<std::uint16_t>(rng_.uniform_int(32768, 60999));
   ts_val_base_ = static_cast<std::uint32_t>(rng_.next_u64());
-}
-
-net::Packet PacketSynthesizer::make_probe(TimeMicros ts) {
-  net::Packet p;
-  make_probe_into(ts, p);
-  return p;
 }
 
 void PacketSynthesizer::make_probe_into(TimeMicros ts, net::Packet& out) {

@@ -104,9 +104,6 @@ struct BehaviorRoster {
   std::vector<double> generic_weights;
 
   static BehaviorRoster standard();
-
-  const ScanBehavior& sample_iot(Rng& rng) const;
-  const ScanBehavior& sample_generic(Rng& rng) const;
 };
 
 /// Stateful per-host packet synthesizer. Given a behaviour and the host's
@@ -116,16 +113,9 @@ class PacketSynthesizer {
   PacketSynthesizer(const ScanBehavior& behavior, Ipv4 src, Cidr telescope,
                     std::uint64_t seed);
 
-  /// Builds the next probe packet at time `ts`.
-  net::Packet make_probe(TimeMicros ts);
-
-  /// In-place variant for the hot emit path: resets and fills `out`
-  /// (identical field values and RNG draw sequence to make_probe) without
-  /// materializing a temporary Packet.
+  /// Builds the next probe packet at time `ts` into `out`, resetting every
+  /// field first (hot emit paths reuse one slot across hosts).
   void make_probe_into(TimeMicros ts, net::Packet& out);
-
-  /// The per-host path length (hops) decrementing TTL; fixed per host.
-  int path_hops() const { return path_hops_; }
 
  private:
   /// Port draws use inclusive prefix sums held inline (no heap indirection

@@ -64,7 +64,6 @@ Session make_scan_session(Rng& rng, int day, double mean_seconds,
 Population Population::generate(const PopulationConfig& config,
                                 const WorldModel& world) {
   Population pop;
-  pop.config_ = config;
   pop.roster_ = BehaviorRoster::standard();
   pop.catalog_ = DeviceCatalog::standard();
   Rng rng(config.seed);

@@ -59,8 +59,6 @@ struct Host {
 
   std::vector<Session> sessions;
   std::uint64_t seed = 0;
-
-  bool is_infected_iot() const { return cls == HostClass::kInfectedIot; }
 };
 
 /// Cohort sizes per simulated day. Defaults reproduce the paper's feed
@@ -95,9 +93,6 @@ class Population {
                              const WorldModel& world);
 
   const std::vector<Host>& hosts() const { return hosts_; }
-  const PopulationConfig& config() const { return config_; }
-  const BehaviorRoster& roster() const { return roster_; }
-  const DeviceCatalog& catalog() const { return catalog_; }
 
   /// The behaviour driving a host's scanning (nullptr for victims and
   /// misconfigured nodes).
@@ -119,7 +114,6 @@ class Population {
   int inject_host(Host host);
 
  private:
-  PopulationConfig config_;
   BehaviorRoster roster_;
   DeviceCatalog catalog_;
   std::vector<Host> hosts_;

@@ -123,7 +123,6 @@ constexpr AsSpec kAsSpecs[] = {
 
 WorldModel WorldModel::standard(Cidr telescope, std::uint64_t seed) {
   WorldModel w;
-  w.telescope_ = telescope;
   w.prefix_to_as_.assign(1 << 16, -1);
   Rng rng(seed);
 

@@ -92,10 +92,7 @@ class WorldModel {
   /// AS (used by the WHOIS substitute).
   std::string organization_name(Ipv4 addr) const;
 
-  Cidr telescope() const { return telescope_; }
-
  private:
-  Cidr telescope_;
   std::vector<AsInfo> ases_;
   std::vector<double> iot_weights_;
   std::vector<double> generic_weights_;

@@ -47,8 +47,6 @@ class Normalizer {
 
   void transform_in_place(std::vector<FeatureVector>& rows) const;
 
-  std::size_t width() const { return min_.size(); }
-
   /// Persistence accessors / reconstruction (see ml/persist.h).
   const std::vector<double>& min() const { return min_; }
   const std::vector<double>& inv_range() const { return inv_range_; }

@@ -56,8 +56,6 @@ class ModelDirectory {
   /// in production at that time), if any.
   Result<PersistedModel> load_at(TimeMicros t) const;
 
-  const std::filesystem::path& dir() const { return dir_; }
-
  private:
   std::filesystem::path dir_;
 };

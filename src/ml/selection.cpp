@@ -78,24 +78,4 @@ SelectedModel select_random_forest(const Dataset& data,
   return best;
 }
 
-int ModelRegistry::store(SelectedModel model) {
-  models_.push_back(std::move(model));
-  return static_cast<int>(models_.size()) - 1;
-}
-
-const SelectedModel* ModelRegistry::latest() const {
-  return models_.empty() ? nullptr : &models_.back();
-}
-
-const SelectedModel* ModelRegistry::at_time(TimeMicros t) const {
-  const SelectedModel* best = nullptr;
-  for (const auto& m : models_) {
-    if (m.trained_at <= t && (best == nullptr ||
-                              m.trained_at > best->trained_at)) {
-      best = &m;
-    }
-  }
-  return best;
-}
-
 }  // namespace exiot::ml

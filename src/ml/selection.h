@@ -53,25 +53,4 @@ SelectedModel select_random_forest(const Dataset& data,
                                    const SelectionConfig& config,
                                    TimeMicros trained_at);
 
-/// Timestamped registry of daily models ("all the daily trained models are
-/// augmented with training timestamp and stored ... to make the results
-/// easily reproducible").
-class ModelRegistry {
- public:
-  /// Stores a model and returns its registry id.
-  int store(SelectedModel model);
-
-  /// The most recently stored model (nullptr when empty).
-  const SelectedModel* latest() const;
-  /// The model that was current at virtual time `t` (latest trained_at <=
-  /// t), or nullptr if none existed yet.
-  const SelectedModel* at_time(TimeMicros t) const;
-
-  std::size_t size() const { return models_.size(); }
-  const std::vector<SelectedModel>& all() const { return models_; }
-
- private:
-  std::vector<SelectedModel> models_;
-};
-
 }  // namespace exiot::ml

@@ -25,7 +25,6 @@ class LinearSvm : public Classifier {
   double predict_score(const FeatureVector& row) const override;
 
   double margin(const FeatureVector& row) const;
-  const std::vector<double>& weights() const { return weights_; }
 
  private:
   std::vector<double> weights_;

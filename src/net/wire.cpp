@@ -209,12 +209,6 @@ std::size_t serialize_to(const Packet& pkt, std::vector<std::uint8_t>& out) {
   return 20 + l4_len;
 }
 
-std::vector<std::uint8_t> serialize(const Packet& pkt) {
-  std::vector<std::uint8_t> out;
-  serialize_to(pkt, out);
-  return out;
-}
-
 bool parse_canonical(std::span<const std::uint8_t> bytes, TimeMicros ts,
                      Packet& out) {
   // Fixed-layout overlay for the canonical image every encoder in this

@@ -12,14 +12,11 @@
 
 namespace exiot::net {
 
-/// Serializes the packet headers (no payload bytes; telescope analysis is
-/// header-only, and sampled records keep header fields only — §III of the
-/// paper). If total_length implies a payload, the wire image still contains
-/// only headers; the length fields are preserved so decoding round-trips.
-std::vector<std::uint8_t> serialize(const Packet& pkt);
-
-/// Appends serialization to an existing buffer (amortizes allocation on the
-/// hot path). Returns the number of bytes appended.
+/// Appends the packet's wire image to `out` and returns the number of
+/// bytes appended. The image holds the headers only (no payload bytes;
+/// telescope analysis is header-only, and sampled records keep header
+/// fields only — §III of the paper). If total_length implies a payload,
+/// the length fields are preserved so decoding round-trips.
 std::size_t serialize_to(const Packet& pkt, std::vector<std::uint8_t>& out);
 
 /// Decodes a packet from wire bytes. `ts` is carried out-of-band (the trace

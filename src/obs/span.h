@@ -91,7 +91,6 @@ class Tracer {
 
   bool enabled() const { return config_.sample_rate > 0.0; }
   double sample_rate() const { return config_.sample_rate; }
-  std::size_t ring_capacity() const { return config_.ring_capacity; }
 
   /// Stable identity of a record trace: the same (src, detect_time) pair
   /// keys the same trace in the detector shard and in the downstream

@@ -68,7 +68,6 @@ class Watchdog {
     /// Thread is exiting; the slot stays for reuse by name.
     void retire();
 
-    const std::string& name() const { return name_; }
     std::uint64_t epoch() const {
       return epoch_.load(std::memory_order_relaxed);
     }
@@ -91,7 +90,6 @@ class Watchdog {
   Watchdog& operator=(const Watchdog&) = delete;
 
   bool enabled() const { return config_.deadline.count() > 0; }
-  std::chrono::milliseconds deadline() const { return config_.deadline; }
 
   /// Registers (or revives, when the name was seen before) a heartbeat
   /// slot. The returned pointer stays valid for the watchdog's lifetime.

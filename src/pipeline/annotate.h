@@ -136,7 +136,6 @@ class AnnotateStage {
   void shutdown();
 
   bool parallel() const { return workers_.size() > 0; }
-  int num_workers() const { return config_.num_workers; }
   std::uint64_t submitted() const;
   std::uint64_t committed() const;
   /// Lock-free mirror of committed(): the sequence number of the last op

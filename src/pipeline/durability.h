@@ -128,7 +128,6 @@ class Durability {
   const RecoveryInfo& recovery() const { return recovery_; }
   std::uint64_t commit_index() const { return commit_index_; }
   bool caught_up() const { return commit_index_ >= recovery_.recovered_index; }
-  const DurabilityConfig& config() const { return config_; }
 
  private:
   /// True → append this commit and run its effects; false → suppressed.

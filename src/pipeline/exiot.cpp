@@ -7,6 +7,14 @@
 #include "ml/features.h"
 
 namespace exiot::pipeline {
+namespace {
+
+/// Analyzing one hour of capture takes this long (paper: ~20 minutes).
+constexpr TimeMicros kProcessingPerHour = minutes(20);
+/// Annotation (feature extraction, lookups, model application) per record.
+constexpr TimeMicros kAnnotateLatency = seconds(30);
+
+}  // namespace
 
 ExIotPipeline::ExIotPipeline(const inet::Population& population,
                              const inet::WorldModel& world,
@@ -17,9 +25,7 @@ ExIotPipeline::ExIotPipeline(const inet::Population& population,
         c.decode_batch_size = std::max<std::size_t>(1, c.decode_batch_size);
         return c;
       }()),
-      tracer_(obs::TracerConfig{config.trace_sample,
-                                config.trace_ring_capacity},
-              &metrics_),
+      tracer_(obs::TracerConfig{config.trace_sample}, &metrics_),
       watchdog_(config.watchdog_deadline.count() > 0
                     ? std::make_unique<obs::Watchdog>(
                           obs::WatchdogConfig{config.watchdog_deadline},
@@ -103,7 +109,7 @@ ExIotPipeline::ExIotPipeline(const inet::Population& population,
                   [this](const flow::FlowSummary& summary) {
                     const TimeMicros at = federation_.deliver_event(
                         summary.src, processing_time(summary.last_seen) +
-                                         config_.processing_per_hour);
+                                         kProcessingPerHour);
                     auto it = pending_.find(summary.src.value());
                     if (it != pending_.end()) {
                       // Record not yet published: fold the end into it so
@@ -134,7 +140,7 @@ ExIotPipeline::ExIotPipeline(const inet::Population& population,
       organizer_(config.organizer, &metrics_),
       prober_(population, config.prober),
       scan_module_(prober_, fingerprint::RuleDb::standard(), config.batcher,
-                   &metrics_, config.unknown_banner_capacity),
+                   &metrics_),
       trainer_(config.trainer, &metrics_),
       enrich_(world, population),
       feed_(&metrics_, &tracer_),
@@ -192,7 +198,7 @@ ExIotPipeline::ExIotPipeline(const inet::Population& population,
   inst_.pending = &metrics_.gauge(
       "exiot_pipeline_pending_records",
       "Records awaiting a probe outcome or organized sample.");
-  inst_.annotate_latency = &metrics_.histogram(
+  inst_.annotate_h = &metrics_.histogram(
       "exiot_annotate_latency_seconds",
       "Virtual time from probe/sample completion to publication "
       "(feature extraction, classification, enrichment, tools).",
@@ -245,7 +251,7 @@ TimeMicros ExIotPipeline::processing_time(TimeMicros traffic_ts) const {
       static_cast<double>(traffic_ts - hour * kMicrosPerHour) /
       static_cast<double>(kMicrosPerHour);
   return ready + static_cast<TimeMicros>(
-                     frac * static_cast<double>(config_.processing_per_hour));
+                     frac * static_cast<double>(kProcessingPerHour));
 }
 
 void ExIotPipeline::handle_probe_outcomes(
@@ -291,7 +297,7 @@ AnnotateResult ExIotPipeline::annotate_job(const AnnotateJob& job) const {
 
   AnnotateResult out;
   out.annotate_start = std::max(probe.completed_at, job.sample_ready_at);
-  out.published = out.annotate_start + config_.annotate_latency;
+  out.published = out.annotate_start + kAnnotateLatency;
   out.training_label = probe.training_label;
   out.ended = job.ended;
   out.end_ts = job.end_ts;
@@ -384,8 +390,7 @@ void ExIotPipeline::commit_annotated(AnnotateResult& result) {
   if (result.training_label != -1) {
     trainer_.add_example(published, result.features, result.training_label);
   }
-  obs::VirtualTimer annotate_timer(*inst_.annotate_latency,
-                                   result.annotate_start);
+  obs::VirtualTimer annotate_timer(*inst_.annotate_h, result.annotate_start);
   annotate_timer.stop(published);
   (void)feed_.publish(result.record, published, &result.trace);
   if (result.ended) {
@@ -417,8 +422,7 @@ void ExIotPipeline::run_hours(std::int64_t first_hour,
         end);
 
     const TimeMicros processing_end =
-        config_.collection.file_ready_time(hour) +
-        config_.processing_per_hour;
+        config_.collection.file_ready_time(hour) + kProcessingPerHour;
     handle_probe_outcomes(scan_module_.tick(processing_end));
     // Barrier: retraining reallocates the deployed-model registry the
     // annotate workers read, and expiry/scrapes read committer-side state.
@@ -467,37 +471,10 @@ void ExIotPipeline::scrape_detector() {
   scraped_ = s;
 }
 
-PipelineStats ExIotPipeline::stats() const {
-  PipelineStats s;
-  s.packets_processed =
-      metrics_.counter_value("exiot_detector_packets_processed_total");
-  s.scanners_detected =
-      metrics_.counter_value("exiot_detector_scanners_detected_total");
-  s.records_published =
-      metrics_.counter_value("exiot_feed_records_published_total");
-  s.records_ended = metrics_.counter_value("exiot_feed_records_ended_total");
-  s.labeled_examples =
-      metrics_.counter_value("exiot_trainer_labeled_examples_total");
-  s.benign_records = metrics_.counter_value(
-      "exiot_feed_records_by_label_total", {{"label", feed::kLabelBenign}});
-  s.iot_records = metrics_.counter_value("exiot_feed_records_by_label_total",
-                                         {{"label", feed::kLabelIot}});
-  s.noniot_records = metrics_.counter_value(
-      "exiot_feed_records_by_label_total", {{"label", feed::kLabelNonIot}});
-  s.unlabeled_records = metrics_.counter_value(
-      "exiot_feed_records_by_label_total", {{"label", feed::kLabelUnlabeled}});
-  s.models_trained =
-      metrics_.counter_value("exiot_trainer_models_trained_total");
-  s.report_messages =
-      metrics_.counter_value("exiot_pipeline_report_messages_total");
-  return s;
-}
-
 void ExIotPipeline::finish() {
   ingest_.finish();
   const TimeMicros processing_end =
-      config_.collection.file_ready_time(next_hour_) +
-      config_.processing_per_hour;
+      config_.collection.file_ready_time(next_hour_) + kProcessingPerHour;
   handle_probe_outcomes(scan_module_.flush(processing_end));
   // Publish whatever is complete; everything else (no probe or no sample)
   // is dropped, as an aborted deployment would.

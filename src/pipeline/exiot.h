@@ -54,10 +54,6 @@ struct PipelineConfig {
   probe::BatcherConfig batcher;
   probe::ProberConfig prober = probe::ProberConfig::standard();
   telescope::CollectionModel collection;
-  /// Analyzing one hour of capture takes this long (paper: ~20 minutes).
-  TimeMicros processing_per_hour = minutes(20);
-  /// Annotation (feature extraction, lookups, model application) per batch.
-  TimeMicros annotate_latency = seconds(30);
   TrainerConfig trainer;
   /// Flow-detector shards for the threaded capture->detect stage; 1 keeps
   /// the stage single-threaded. The feed output is byte-identical for any
@@ -88,15 +84,10 @@ struct PipelineConfig {
   int num_annotate_workers = 1;
   /// Capacity of the annotate job queue, in records.
   std::size_t annotate_queue_capacity = 256;
-  /// Bound on the unknown-banner rule-authoring log.
-  std::size_t unknown_banner_capacity =
-      fingerprint::UnknownBannerLog::kDefaultCapacity;
   /// Fraction of records / batches span-traced end to end (0 disables
   /// tracing entirely; 1 traces everything). Sampling is deterministic in
   /// the record identity, so any rate keeps the feed byte-identical.
   double trace_sample = 0.0;
-  /// Spans each recording thread retains (overflow drops oldest).
-  std::size_t trace_ring_capacity = 4096;
   /// Stall-watchdog deadline for worker heartbeats; 0 disables the
   /// watchdog. A busy worker silent past this flips /v1/health.
   std::chrono::milliseconds watchdog_deadline{0};
@@ -124,23 +115,6 @@ struct PipelineConfig {
   /// Per-site clock skew / tunnel outages, index-matched to the sites
   /// (missing entries take the SiteSpec defaults).
   std::vector<SiteSpec> site_specs;
-};
-
-/// Legacy counter view, assembled on demand from the metrics registry —
-/// kept as a compatibility facade; new call sites should read
-/// `metrics()` directly (richer: histograms, labels, per-stage detail).
-struct PipelineStats {
-  std::uint64_t packets_processed = 0;
-  std::uint64_t scanners_detected = 0;
-  std::uint64_t records_published = 0;
-  std::uint64_t records_ended = 0;
-  std::uint64_t labeled_examples = 0;
-  std::uint64_t benign_records = 0;
-  std::uint64_t iot_records = 0;
-  std::uint64_t noniot_records = 0;
-  std::uint64_t unlabeled_records = 0;
-  std::uint64_t models_trained = 0;
-  std::uint64_t report_messages = 0;
 };
 
 class ExIotPipeline {
@@ -176,15 +150,11 @@ class ExIotPipeline {
   /// per-sensor sighting ledger.
   FederationStage& federation() { return federation_; }
   const FederationStage& federation() const { return federation_; }
-  /// Legacy counters, assembled from the registry (see PipelineStats).
-  PipelineStats stats() const;
   /// The pipeline-wide metrics registry: every stage and store records
   /// here; ApiServer::attach_metrics exposes it at /v1/metrics.
   obs::MetricsRegistry& metrics() { return metrics_; }
   const obs::MetricsRegistry& metrics() const { return metrics_; }
   const UpdateClassifier& classifier() const { return trainer_; }
-  const enrich::EnrichmentService& enrichment() const { return enrich_; }
-  const ScanModule& scan_module() const { return scan_module_; }
   const PacketOrganizer& organizer() const { return organizer_; }
   /// Aggregated telescope statistics from the per-second report messages.
   const ReportStore& reports() const { return reports_; }
@@ -260,7 +230,7 @@ class ExIotPipeline {
     obs::Counter* reports = nullptr;
     obs::Counter* pending_clobbered = nullptr;
     obs::Gauge* pending = nullptr;
-    obs::Histogram* annotate_latency = nullptr;
+    obs::Histogram* annotate_h = nullptr;  // exiot_annotate_latency_seconds.
   };
 
   const inet::Population& population_;

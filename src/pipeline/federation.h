@@ -103,8 +103,6 @@ class FederationStage {
   ReconnectingTunnel& tunnel(std::size_t site = 0) {
     return *tunnels_[site];
   }
-  int num_sites() const { return config_.num_sites; }
-  int active_sites() const { return active_; }
   const telescope::SiteInfo& site(std::size_t i) const { return sites_[i]; }
   const telescope::SightingTable& sighting_table() const {
     return sightings_;

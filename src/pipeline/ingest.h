@@ -99,7 +99,6 @@ class ThreadedIngest {
   /// Detector counters summed across shards.
   flow::DetectorStats stats() const;
   std::size_t tracked_sources() const;
-  int num_shards() const { return config_.num_shards; }
 
  private:
   /// One capture-buffer hand-off. The trace context (sampled per batch,

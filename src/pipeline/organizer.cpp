@@ -30,7 +30,6 @@ std::optional<ScannerBundle> PacketOrganizer::organize(
     Ipv4 src, std::vector<net::Packet> sample) {
   sample_size_h_->observe(static_cast<double>(sample.size()));
   if (sample.size() < config_.min_samples) {
-    ++dropped_;
     dropped_c_->inc();
     return std::nullopt;
   }
@@ -42,7 +41,6 @@ std::optional<ScannerBundle> PacketOrganizer::organize(
   bundle.first_sample_ts = sample.front().ts;
   bundle.last_sample_ts = sample.back().ts;
   bundle.sample = std::move(sample);
-  ++organized_;
   organized_c_->inc();
   return bundle;
 }

@@ -40,13 +40,8 @@ class PacketOrganizer {
   /// JSON packing of a bundle (the inter-module wire format of Figure 2).
   static json::Value to_json(const ScannerBundle& bundle);
 
-  std::size_t dropped_sources() const { return dropped_; }
-  std::size_t organized_sources() const { return organized_; }
-
  private:
   OrganizerConfig config_;
-  std::size_t dropped_ = 0;
-  std::size_t organized_ = 0;
   obs::Counter* organized_c_;
   obs::Counter* dropped_c_;
   obs::Histogram* sample_size_h_;

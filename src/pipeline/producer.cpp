@@ -89,9 +89,7 @@ void ParallelProducer::produce(std::size_t p, Partition& part,
                                TimeMicros t0, TimeMicros t1) {
   auto heartbeat = obs::Watchdog::attach(
       watchdog_, "producer:" + std::to_string(p));
-  const std::uint64_t avoided = part.streams.size() - part.live.size();
-  part.dead_scans_avoided += avoided;
-  dead_scans_c_->inc(avoided);
+  dead_scans_c_->inc(part.streams.size() - part.live.size());
   const std::size_t pruned_before = part.pruned;
 
   const bool tracing = tracer_ != nullptr && tracer_->enabled();
@@ -186,18 +184,6 @@ void ParallelProducer::join_workers() {
     if (worker.joinable()) worker.join();
   }
   workers_.clear();
-}
-
-std::uint64_t ParallelProducer::streams_pruned() const {
-  std::uint64_t sum = 0;
-  for (const auto& part : partitions_) sum += part->pruned;
-  return sum;
-}
-
-std::uint64_t ParallelProducer::dead_stream_scans_avoided() const {
-  std::uint64_t sum = 0;
-  for (const auto& part : partitions_) sum += part->dead_scans_avoided;
-  return sum;
 }
 
 std::size_t ParallelProducer::live_streams() const {

@@ -92,9 +92,7 @@ class ParallelProducer {
                            std::size_t batch_size, BatchFn&& fn) {
     if (partitions_.size() == 1) {
       Partition& part = *partitions_[0];
-      const std::uint64_t avoided = part.streams.size() - part.live.size();
-      part.dead_scans_avoided += avoided;
-      dead_scans_c_->inc(avoided);
+      dead_scans_c_->inc(part.streams.size() - part.live.size());
       const std::size_t pruned_before = part.pruned;
       batch_.reserve(batch_size);
       const std::size_t count = telescope::emit_window_batch(
@@ -107,21 +105,12 @@ class ParallelProducer {
     return emit_threaded(t0, t1, batch_size, fn);
   }
 
-  int num_producers() const {
-    return static_cast<int>(partitions_.size());
-  }
-  /// Exhausted host streams removed from the live emit lists so far.
-  std::uint64_t streams_pruned() const;
-  /// Window-entry scans of dead streams skipped thanks to the live lists.
-  std::uint64_t dead_stream_scans_avoided() const;
   /// Host streams still able to produce packets.
   std::size_t live_streams() const;
-  std::uint64_t packets_emitted() const { return packets_c_->value(); }
-  std::uint64_t batches_emitted() const { return batches_c_->value(); }
 
  private:
   /// One producer thread's share of the host streams. During a threaded
-  /// window, `streams`/`live`/`merge`/`pruned`/`dead_scans_avoided` are
+  /// window, `streams`/`live`/`merge`/`pruned` are
   /// touched only by the partition's worker thread; between windows only
   /// the calling thread reads them (the worker is joined).
   struct Partition {
@@ -131,7 +120,6 @@ class ParallelProducer {
     telescope::SliceMerge merge;       // Merge scratch, reused per window.
     std::unique_ptr<BoundedBuffer<ProducerBatch>> queue;  // K > 1 only.
     std::size_t pruned = 0;
-    std::uint64_t dead_scans_avoided = 0;
     std::uint64_t batch_seq = 0;  // Ordinal keying batch trace sampling.
   };
 

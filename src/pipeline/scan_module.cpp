@@ -5,12 +5,8 @@ namespace exiot::pipeline {
 ScanModule::ScanModule(const probe::ActiveProber& prober,
                        fingerprint::RuleDb rules,
                        probe::BatcherConfig batcher_config,
-                       obs::MetricsRegistry* metrics,
-                       std::size_t unknown_banner_capacity)
-    : prober_(prober),
-      rules_(std::move(rules)),
-      batcher_(batcher_config),
-      unknown_log_(unknown_banner_capacity) {
+                       obs::MetricsRegistry* metrics)
+    : prober_(prober), rules_(std::move(rules)), batcher_(batcher_config) {
   obs::MetricsRegistry& reg =
       metrics != nullptr ? *metrics : obs::scratch_registry();
   rules_.instrument(reg);
@@ -46,7 +42,6 @@ std::vector<ProbeOutcome> ScanModule::probe_all(
   batch_fill_h_->observe(static_cast<double>(batch.size()));
   obs::VirtualTimer(*flush_latency_h_, batch_opened).stop(now);
   auto results = prober_.probe_batch(batch, now);
-  probed_ += results.size();
   probed_c_->inc(results.size());
   outcomes.reserve(results.size());
   for (auto& result : results) {

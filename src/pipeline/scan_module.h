@@ -34,9 +34,7 @@ class ScanModule {
   ScanModule(const probe::ActiveProber& prober,
              fingerprint::RuleDb rules,
              probe::BatcherConfig batcher_config = {},
-             obs::MetricsRegistry* metrics = nullptr,
-             std::size_t unknown_banner_capacity =
-                 fingerprint::UnknownBannerLog::kDefaultCapacity);
+             obs::MetricsRegistry* metrics = nullptr);
 
   /// Enqueues a newly detected scanner at processing time `now`. Returns
   /// the outcomes of any batch this submission flushed.
@@ -48,10 +46,6 @@ class ScanModule {
   /// Drains the pending batch unconditionally (end of run).
   std::vector<ProbeOutcome> flush(TimeMicros now);
 
-  const fingerprint::UnknownBannerLog& unknown_banners() const {
-    return unknown_log_;
-  }
-  std::size_t probed() const { return probed_; }
 
  private:
   std::vector<ProbeOutcome> probe_all(const std::vector<Ipv4>& batch,
@@ -63,7 +57,6 @@ class ScanModule {
   fingerprint::RuleDb rules_;
   probe::ScanBatcher batcher_;
   fingerprint::UnknownBannerLog unknown_log_;
-  std::size_t probed_ = 0;
   obs::Counter* batches_c_;
   obs::Counter* probed_c_;
   obs::Histogram* batch_fill_h_;

@@ -84,10 +84,8 @@ TimeMicros ReconnectingTunnel::delivery_time(TimeMicros sent_at) const {
 }
 
 TimeMicros ReconnectingTunnel::deliver(TimeMicros sent_at) {
-  ++messages_;
   const Walk w = walk(sent_at);
   if (w.at != sent_at) {
-    ++delayed_;
     delayed_c_->inc();
     reconnects_c_->inc(w.reconnects);
     obs::VirtualTimer(*delay_h_, sent_at).stop(w.at);

@@ -51,9 +51,6 @@ class ReconnectingTunnel {
   /// re-establishing there; see delivery_time).
   bool connected_at(TimeMicros t) const;
 
-  std::uint64_t messages() const { return messages_; }
-  std::uint64_t delayed_messages() const { return delayed_; }
-
  private:
   struct Outage {
     TimeMicros from;
@@ -71,8 +68,6 @@ class ReconnectingTunnel {
 
   TimeMicros reconnect_delay_;
   std::vector<Outage> outages_;  // Sorted by `from`, pairwise disjoint.
-  std::uint64_t messages_ = 0;
-  std::uint64_t delayed_ = 0;
   obs::Counter* direct_c_;
   obs::Counter* delayed_c_;
   obs::Counter* reconnects_c_;

@@ -70,7 +70,6 @@ class UpdateClassifier {
 
   std::size_t window_size() const { return examples_.size(); }
   std::size_t models_trained() const { return models_.size(); }
-  const std::vector<DeployedModel>& registry() const { return models_; }
 
   /// Full-state serialization for durability snapshots: the example
   /// window, every deployed model (via ml/persist plus selection

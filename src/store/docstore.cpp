@@ -79,15 +79,6 @@ bool DocumentStore::update(const ObjectId& id, TimeMicros now,
   return true;
 }
 
-bool DocumentStore::remove(const ObjectId& id) {
-  ops_.write->inc();
-  auto it = docs_.find(id);
-  if (it == docs_.end()) return false;
-  index_remove(id, it->second);
-  docs_.erase(it);
-  return true;
-}
-
 std::vector<ObjectId> DocumentStore::find_by(const std::string& field,
                                              const std::string& value) const {
   ops_.read->inc();

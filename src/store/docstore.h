@@ -51,9 +51,6 @@ class DocumentStore {
   bool update(const ObjectId& id, TimeMicros now,
               const std::function<void(json::Value&)>& mutate);
 
-  /// Removes a document. Returns whether it existed.
-  bool remove(const ObjectId& id);
-
   /// Index lookup: ids of documents whose `field` stringifies to `value`,
   /// in id (insertion) order — the order a full scan yields, regardless of
   /// how many updates have churned the bucket.

@@ -1,8 +1,5 @@
 #include "store/kvstore.h"
 
-#include <charconv>
-#include <limits>
-
 namespace exiot::store {
 
 void KvStore::set(const std::string& key, std::string value) {
@@ -19,89 +16,20 @@ std::optional<std::string> KvStore::get(const std::string& key) const {
 
 bool KvStore::del(const std::string& key) {
   ops_.write->inc();
-  return strings_.erase(key) > 0 || hashes_.erase(key) > 0;
+  return strings_.erase(key) > 0;
 }
 
 bool KvStore::exists(const std::string& key) const {
   ops_.read->inc();
-  return strings_.contains(key) || hashes_.contains(key);
-}
-
-void KvStore::hset(const std::string& key, const std::string& field,
-                   std::string value) {
-  ops_.write->inc();
-  hashes_[key][field] = std::move(value);
-}
-
-std::optional<std::string> KvStore::hget(const std::string& key,
-                                         const std::string& field) const {
-  ops_.read->inc();
-  auto it = hashes_.find(key);
-  if (it == hashes_.end()) return std::nullopt;
-  auto field_it = it->second.find(field);
-  if (field_it == it->second.end()) return std::nullopt;
-  return field_it->second;
-}
-
-bool KvStore::hdel(const std::string& key, const std::string& field) {
-  ops_.write->inc();
-  auto it = hashes_.find(key);
-  if (it == hashes_.end()) return false;
-  const bool removed = it->second.erase(field) > 0;
-  if (it->second.empty()) hashes_.erase(it);
-  return removed;
-}
-
-std::vector<std::pair<std::string, std::string>> KvStore::hgetall(
-    const std::string& key) const {
-  ops_.read->inc();
-  std::vector<std::pair<std::string, std::string>> out;
-  auto it = hashes_.find(key);
-  if (it == hashes_.end()) return out;
-  out.assign(it->second.begin(), it->second.end());
-  return out;
-}
-
-Result<std::int64_t> KvStore::incr(const std::string& key) {
-  ops_.write->inc();
-  if (hashes_.contains(key)) {
-    return make_error("kv_wrong_type",
-                      "incr on hash key '" + key + "'");
-  }
-  std::int64_t value = 0;
-  auto it = strings_.find(key);
-  if (it != strings_.end()) {
-    const char* begin = it->second.data();
-    const char* end = begin + it->second.size();
-    auto [ptr, ec] = std::from_chars(begin, end, value);
-    // The whole value must parse: "12abc" is not a counter, and treating
-    // it as 12 would silently corrupt whatever `set` stored there.
-    if (ec != std::errc{} || ptr != end || it->second.empty()) {
-      return make_error("kv_not_integer",
-                        "incr on non-integer value of key '" + key + "'");
-    }
-  }
-  if (value == std::numeric_limits<std::int64_t>::max()) {
-    return make_error("kv_overflow", "incr overflow on key '" + key + "'");
-  }
-  ++value;
-  strings_[key] = std::to_string(value);
-  return value;
+  return strings_.contains(key);
 }
 
 json::Value KvStore::snapshot_state() const {
   ops_.scan->inc();
   json::Object strings;
   for (const auto& [k, v] : strings_) strings[k] = v;
-  json::Object hashes;
-  for (const auto& [k, fields] : hashes_) {
-    json::Object obj;
-    for (const auto& [f, v] : fields) obj[f] = v;
-    hashes[k] = std::move(obj);
-  }
   json::Value out;
   out["strings"] = std::move(strings);
-  out["hashes"] = std::move(hashes);
   return out;
 }
 
@@ -112,30 +40,22 @@ Status KvStore::restore_state(const json::Value& state) {
   }
   const json::Value* strings = state.find("strings");
   const json::Value* hashes = state.find("hashes");
-  if (strings == nullptr || !strings->is_object() || hashes == nullptr ||
-      !hashes->is_object()) {
+  if (strings == nullptr || !strings->is_object() ||
+      (hashes != nullptr && !hashes->is_object())) {
     return make_error("kv_snapshot", "malformed KvStore snapshot");
   }
-  ops_.write->inc();
+  if (hashes != nullptr && !hashes->as_object().empty()) {
+    return make_error("kv_snapshot",
+                      "KvStore snapshot holds hash keys; the store keeps "
+                      "strings only");
+  }
   for (const auto& [k, v] : strings->as_object()) {
     if (!v.is_string()) {
       return make_error("kv_snapshot", "non-string value for key " + k);
     }
-    strings_[k] = v.as_string();
   }
-  for (const auto& [k, fields] : hashes->as_object()) {
-    if (!fields.is_object()) {
-      return make_error("kv_snapshot", "non-object hash for key " + k);
-    }
-    auto& hash = hashes_[k];
-    for (const auto& [f, v] : fields.as_object()) {
-      if (!v.is_string()) {
-        return make_error("kv_snapshot",
-                          "non-string hash field " + k + "." + f);
-      }
-      hash[f] = v.as_string();
-    }
-  }
+  ops_.write->inc();
+  for (const auto& [k, v] : strings->as_object()) strings_[k] = v.as_string();
   return Ok{};
 }
 
@@ -144,7 +64,6 @@ std::vector<std::string> KvStore::keys() const {
   std::vector<std::string> out;
   out.reserve(size());
   for (const auto& [k, v] : strings_) out.push_back(k);
-  for (const auto& [k, v] : hashes_) out.push_back(k);
   return out;
 }
 

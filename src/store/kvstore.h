@@ -4,7 +4,6 @@
 // a search — the paper's stated reason for the Redis tier.
 #pragma once
 
-#include <cstdint>
 #include <optional>
 #include <string>
 #include <unordered_map>
@@ -32,41 +31,23 @@ class KvStore {
   bool del(const std::string& key);
   bool exists(const std::string& key) const;
 
-  /// Hash-field operations (HSET/HGET/HDEL analogues).
-  void hset(const std::string& key, const std::string& field,
-            std::string value);
-  std::optional<std::string> hget(const std::string& key,
-                                  const std::string& field) const;
-  bool hdel(const std::string& key, const std::string& field);
-  std::vector<std::pair<std::string, std::string>> hgetall(
-      const std::string& key) const;
-
-  /// Counter (INCR analogue); a missing key starts at 0, so the first
-  /// incr yields 1. Matches Redis semantics on bad input: if the key holds
-  /// a value that is not entirely a base-10 64-bit integer (set via `set`,
-  /// e.g. "12abc" or an ObjectId hex), or the key is a hash, or the
-  /// increment would overflow, the stored value is left untouched and an
-  /// error is returned — it is never silently reinterpreted or reset.
-  Result<std::int64_t> incr(const std::string& key);
-
-  std::size_t size() const { return strings_.size() + hashes_.size(); }
+  std::size_t size() const { return strings_.size(); }
   std::vector<std::string> keys() const;
 
   /// Full-state serialization for durability snapshots:
-  /// {"strings": {...}, "hashes": {key: {field: value}}}.
+  /// {"strings": {key: value, ...}}.
   json::Value snapshot_state() const;
 
   /// Rebuilds state from snapshot_state() output. The store must be empty
   /// (recovery targets a freshly constructed store); otherwise an error is
-  /// returned and nothing is modified.
+  /// returned and nothing is modified. A "hashes" object, which snapshots
+  /// written while the store also held hash keys carry, must be empty: a
+  /// non-empty one is an error rather than state dropped.
   Status restore_state(const json::Value& state);
 
  private:
   StoreOps ops_;
   std::unordered_map<std::string, std::string> strings_;
-  std::unordered_map<std::string,
-                     std::unordered_map<std::string, std::string>>
-      hashes_;
 };
 
 }  // namespace exiot::store

@@ -55,8 +55,6 @@ class SnapshotDirectory {
   /// Deletes all but the newest `keep` snapshots. Returns files removed.
   std::size_t prune(std::size_t keep = 2) const;
 
-  const std::filesystem::path& dir() const { return dir_; }
-
  private:
   std::filesystem::path dir_;
 };

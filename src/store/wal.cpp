@@ -285,7 +285,6 @@ Result<std::unique_ptr<WalWriter>> WalWriter::open(
                                         last.string() + ": " +
                                         std::strerror(errno));
       }
-      writer->truncated_on_open_ = true;
       writer->torn_c_->inc();
     }
     Status opened =
@@ -427,11 +426,6 @@ std::size_t WalWriter::prune(std::uint64_t upto) {
 std::uint64_t WalWriter::next_index() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return next_index_;
-}
-
-std::size_t WalWriter::segment_count() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  return segments_;
 }
 
 }  // namespace exiot::store

@@ -98,9 +98,6 @@ class WalWriter {
   std::size_t prune(std::uint64_t upto);
 
   std::uint64_t next_index() const;
-  std::size_t segment_count() const;
-  bool truncated_tail_on_open() const { return truncated_on_open_; }
-  const std::filesystem::path& dir() const { return dir_; }
 
  private:
   WalWriter(std::filesystem::path dir, WalOptions options,
@@ -119,7 +116,6 @@ class WalWriter {
   std::uint64_t segment_start_ = 0;  // First index of the active segment.
   std::size_t segment_bytes_used_ = 0;
   std::size_t segments_ = 0;
-  bool truncated_on_open_ = false;
 
   obs::Counter* appends_c_ = nullptr;
   obs::Counter* bytes_c_ = nullptr;

@@ -55,7 +55,6 @@ void TraceEncoder::add(const net::Packet& pkt) {
   const std::size_t wire_len = net::serialize_to(pkt, scratch_);
   put_varint(buffer_, wire_len);
   buffer_.insert(buffer_.end(), scratch_.begin(), scratch_.end());
-  ++count_;
 }
 
 std::vector<std::uint8_t> TraceEncoder::finish() {
@@ -67,7 +66,6 @@ std::vector<std::uint8_t> TraceEncoder::finish() {
   std::vector<std::uint8_t> out = std::move(buffer_);
   buffer_.assign(std::begin(kMagic), std::end(kMagic));
   last_ts_ = 0;
-  count_ = 0;
   return out;
 }
 
@@ -106,7 +104,9 @@ int TraceDecoder::next_record(TimeMicros* ts,
     }
     return 0;
   }
-  if (pos_ + len > bytes_.size()) {
+  // Compared against the bytes left, not as pos_ + len: a corrupt
+  // ten-byte length varint can come close to 2^64 and wrap the sum.
+  if (len > bytes_.size() - pos_) {
     last_error_ = "truncated packet body";
     valid_ = false;
     return -1;
@@ -115,21 +115,6 @@ int TraceDecoder::next_record(TimeMicros* ts,
   *body = std::span<const std::uint8_t>(bytes_.data() + pos_, len);
   pos_ += len;
   return 1;
-}
-
-bool TraceDecoder::next(net::Packet& out) {
-  TimeMicros ts = 0;
-  std::span<const std::uint8_t> body;
-  if (next_record(&ts, &body) <= 0) return false;
-  auto parsed = net::parse(body, ts);
-  if (!parsed.ok()) {
-    last_error_ = parsed.error().message;
-    valid_ = false;
-    return false;
-  }
-  last_ts_ = ts;
-  out = std::move(parsed).take();
-  return true;
 }
 
 std::size_t TraceDecoder::next_batch(net::PacketBatch& batch,
@@ -143,9 +128,8 @@ std::size_t TraceDecoder::next_batch(net::PacketBatch& batch,
     if (net::parse_canonical(body, ts, slot)) {
       batch.commit_back();
     } else {
-      // Non-canonical or invalid record: the scalar parse either accepts
-      // it (unusual but well-formed image) or produces the exact error
-      // text `next` would.
+      // Non-canonical or invalid record: the general parse either accepts
+      // it (unusual but well-formed image) or words the error.
       batch.abandon_back();
       auto parsed = net::parse(body, ts);
       if (!parsed.ok()) {
@@ -218,43 +202,26 @@ Status HourlyTraceWriter::close() {
 
 Result<std::size_t> read_trace_file(
     const std::filesystem::path& file,
-    const std::function<void(const net::Packet&)>& fn) {
+    const std::function<void(const net::PacketBatch&)>& fn) {
   std::ifstream in(file, std::ios::binary);
   if (!in) return make_error("trace_io", "cannot open " + file.string());
-  std::vector<std::uint8_t> bytes(
-      (std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>());
-  TraceDecoder dec(std::move(bytes));
+  TraceDecoder dec(std::vector<std::uint8_t>(
+      (std::istreambuf_iterator<char>(in)), std::istreambuf_iterator<char>()));
   if (!dec.valid()) return make_error("trace_io", dec.last_error());
   std::size_t n = 0;
-  net::Packet pkt;
-  while (dec.next(pkt)) {
-    fn(pkt);
-    ++n;
+  net::PacketBatch batch;
+  batch.reserve(kReadBatchRows);
+  while (true) {
+    batch.clear();
+    const std::size_t got = dec.next_batch(batch, kReadBatchRows);
+    if (got == 0) break;
+    fn(batch);
+    n += got;
   }
   if (!dec.last_error().empty()) {
     return make_error("trace_io", dec.last_error());
   }
   return n;
-}
-
-std::vector<std::uint8_t> encode_packets(
-    const std::vector<net::Packet>& pkts) {
-  TraceEncoder enc;
-  for (const auto& p : pkts) enc.add(p);
-  return enc.finish();
-}
-
-Result<std::vector<net::Packet>> decode_packets(
-    std::vector<std::uint8_t> bytes) {
-  TraceDecoder dec(std::move(bytes));
-  if (!dec.valid()) return make_error("trace_io", dec.last_error());
-  std::vector<net::Packet> out;
-  net::Packet pkt;
-  while (dec.next(pkt)) out.push_back(pkt);
-  if (!dec.last_error().empty()) {
-    return make_error("trace_io", dec.last_error());
-  }
-  return out;
 }
 
 }  // namespace exiot::trace

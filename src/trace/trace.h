@@ -34,9 +34,6 @@ class TraceEncoder {
   /// per-packet allocation) to the stream.
   void add(const net::Packet& pkt);
 
-  const std::vector<std::uint8_t>& bytes() const { return buffer_; }
-  std::size_t packet_count() const { return count_; }
-
   /// Appends the end-of-stream marker, releases the encoded stream, and
   /// resets the encoder.
   std::vector<std::uint8_t> finish();
@@ -45,7 +42,6 @@ class TraceEncoder {
   std::vector<std::uint8_t> buffer_;
   std::vector<std::uint8_t> scratch_;
   TimeMicros last_ts_ = 0;
-  std::size_t count_ = 0;
 };
 
 /// Streaming decoder over a trace byte stream.
@@ -56,18 +52,14 @@ class TraceDecoder {
   /// True if the stream header was valid.
   bool valid() const { return valid_; }
 
-  /// Decodes the next packet into `out`. Returns false at end of stream.
-  /// Decode errors — including a stream that ends without the
-  /// end-of-stream marker (torn tail) — surface through `last_error()`
-  /// and also end the stream.
-  bool next(net::Packet& out);
-
-  /// Batched decode: appends up to `max` packets to `batch` and returns
-  /// the number appended (0 at end of stream or on error; errors surface
-  /// through last_error()). The happy path overlays the canonical fixed
-  /// header layout with no per-packet Result; non-canonical or corrupt
-  /// records fall back to the scalar parse so the error text — and the
-  /// accept/reject decision — match `next` exactly.
+  /// Appends up to `max` packets to `batch` and returns the number
+  /// appended; 0 means end of stream. Decode errors — including a stream
+  /// that ends without the end-of-stream marker (torn tail) — surface
+  /// through last_error() and also end the stream; the packets before the
+  /// bad record are still appended. The happy path overlays the canonical
+  /// fixed header layout with no per-packet Result; non-canonical or
+  /// corrupt records fall back to net::parse, which decides accept/reject
+  /// and words the error.
   std::size_t next_batch(net::PacketBatch& batch, std::size_t max);
 
   const std::string& last_error() const { return last_error_; }
@@ -118,15 +110,13 @@ class HourlyTraceWriter {
   bool open_ = false;
 };
 
-/// Reads one hour file and invokes `fn` per packet. Returns the packet
-/// count, or an error if the file is missing/corrupt/torn.
+/// Reads one hour file and hands its packets to `fn` in arrival order, in
+/// batches of up to kReadBatchRows rows. Returns the packet count, or an
+/// error if the file is missing/corrupt/torn; the packets decoded before a
+/// bad record have been delivered by then.
+inline constexpr std::size_t kReadBatchRows = 1024;
 Result<std::size_t> read_trace_file(
     const std::filesystem::path& file,
-    const std::function<void(const net::Packet&)>& fn);
-
-/// Convenience: encode a packet vector to bytes / decode bytes to packets.
-std::vector<std::uint8_t> encode_packets(const std::vector<net::Packet>& pkts);
-Result<std::vector<net::Packet>> decode_packets(
-    std::vector<std::uint8_t> bytes);
+    const std::function<void(const net::PacketBatch&)>& fn);
 
 }  // namespace exiot::trace

@@ -184,7 +184,11 @@ struct RunOutput {
   std::string outbox;
   std::string records_api;
   std::string snapshot_api;
-  PipelineStats stats;
+  std::uint64_t records_published = 0;
+  std::uint64_t labeled_examples = 0;
+  std::uint64_t records_ended = 0;
+  std::uint64_t iot_records = 0;
+  std::uint64_t noniot_records = 0;
 };
 
 /// Full pipeline run over the small deterministic population; returns
@@ -214,7 +218,16 @@ RunOutput run_pipeline(int annotate_workers, int producers, int shards,
   pipe.finish();
 
   RunOutput out;
-  out.stats = pipe.stats();
+  const obs::MetricsRegistry& m = pipe.metrics();
+  out.records_published =
+      m.counter_value("exiot_feed_records_published_total");
+  out.labeled_examples =
+      m.counter_value("exiot_trainer_labeled_examples_total");
+  out.records_ended = m.counter_value("exiot_feed_records_ended_total");
+  out.iot_records = m.counter_value("exiot_feed_records_by_label_total",
+                                    {{"label", feed::kLabelIot}});
+  out.noniot_records = m.counter_value("exiot_feed_records_by_label_total",
+                                       {{"label", feed::kLabelNonIot}});
   std::ostringstream feed;
   feed::export_jsonl(pipe.feed(), feed);
   out.feed = feed.str();
@@ -239,7 +252,7 @@ RunOutput run_pipeline(int annotate_workers, int producers, int shards,
 
 TEST(AnnotateDeterminismTest, OutputInvariantAcrossWorkerMatrix) {
   const RunOutput baseline = run_pipeline(1, 1, 1);
-  EXPECT_GT(baseline.stats.records_published, 0u);
+  EXPECT_GT(baseline.records_published, 0u);
   EXPECT_FALSE(baseline.outbox.empty());
   // Workers x producers x shards x decode batch size: every externally
   // visible artifact — feed export, outbox, and API bodies — must be
@@ -258,11 +271,11 @@ TEST(AnnotateDeterminismTest, OutputInvariantAcrossWorkerMatrix) {
         << "workers=" << workers;
     EXPECT_EQ(baseline.snapshot_api, run.snapshot_api)
         << "workers=" << workers;
-    EXPECT_EQ(baseline.stats.records_published, run.stats.records_published);
-    EXPECT_EQ(baseline.stats.labeled_examples, run.stats.labeled_examples);
-    EXPECT_EQ(baseline.stats.records_ended, run.stats.records_ended);
-    EXPECT_EQ(baseline.stats.iot_records, run.stats.iot_records);
-    EXPECT_EQ(baseline.stats.noniot_records, run.stats.noniot_records);
+    EXPECT_EQ(baseline.records_published, run.records_published);
+    EXPECT_EQ(baseline.labeled_examples, run.labeled_examples);
+    EXPECT_EQ(baseline.records_ended, run.records_ended);
+    EXPECT_EQ(baseline.iot_records, run.iot_records);
+    EXPECT_EQ(baseline.noniot_records, run.noniot_records);
   }
 }
 
@@ -282,15 +295,17 @@ TEST(AnnotateDeterminismTest, ParallelRunReportsStageMetrics) {
   ExIotPipeline pipe(population, world, pipe_config);
   pipe.run_days(0, 1);
   pipe.finish();
+  const std::uint64_t published =
+      pipe.metrics().counter_value("exiot_feed_records_published_total");
   EXPECT_EQ(pipe.metrics().counter_value("exiot_annotate_records_total"),
-            pipe.stats().records_published);
+            published);
   EXPECT_EQ(pipe.metrics().gauge_value("exiot_annotate_inflight"), 0.0);
   EXPECT_EQ(pipe.metrics().gauge_value("exiot_annotate_workers"), 4.0);
   // The latency histogram (observed at commit) still covers every record.
   const obs::Histogram* h =
       pipe.metrics().find_histogram("exiot_annotate_latency_seconds");
   ASSERT_NE(h, nullptr);
-  EXPECT_EQ(h->count(), pipe.stats().records_published);
+  EXPECT_EQ(h->count(), published);
 }
 
 TEST(AnnotateDeterminismTest, MidRunDestructionShutsDownCleanly) {

@@ -17,25 +17,44 @@ HttpResponse plain(int status, std::string body) {
   return HttpResponse::json(status, std::move(body));
 }
 
+/// A cache instrumented into its own registry, so a test reads exactly
+/// its own counters and gauges.
+struct InstrumentedCache {
+  explicit InstrumentedCache(std::size_t capacity_bytes)
+      : cache(capacity_bytes) {
+    cache.instrument(registry);
+  }
+  std::uint64_t counter(const char* name) const {
+    return registry.counter_value(name);
+  }
+  double gauge(const char* name) const { return registry.gauge_value(name); }
+
+  obs::MetricsRegistry registry;
+  ResponseCache cache;
+};
+
 // ---------------------------------------------------------------- cache ----
 
 TEST(ResponseCacheTest, HitsOnlyAtMatchingVersion) {
-  ResponseCache cache(1 << 16);
+  InstrumentedCache c(1 << 16);
+  ResponseCache& cache = c.cache;
   EXPECT_FALSE(cache.lookup("/v1/snapshot", 1).has_value());
   cache.insert("/v1/snapshot", 1, plain(200, R"({"total":1})"));
   auto hit = cache.lookup("/v1/snapshot", 1);
   ASSERT_TRUE(hit.has_value());
   EXPECT_EQ(hit->body, R"({"total":1})");
-  EXPECT_EQ(cache.hits(), 1u);
-  EXPECT_EQ(cache.misses(), 1u);
+  EXPECT_EQ(c.counter("exiot_api_cache_hits_total"), 1u);
+  EXPECT_EQ(c.counter("exiot_api_cache_misses_total"), 1u);
 }
 
 TEST(ResponseCacheTest, SequenceAdvanceInvalidatesExactly) {
-  ResponseCache cache(1 << 16);
+  InstrumentedCache c(1 << 16);
+  ResponseCache& cache = c.cache;
   cache.insert("/v1/snapshot", 3, plain(200, "old"));
   // A commit landed: the entry cached at sequence 3 must never serve at 4.
   EXPECT_FALSE(cache.lookup("/v1/snapshot", 4).has_value());
-  EXPECT_EQ(cache.entries(), 0u);  // Stale entry dropped, not kept.
+  // Stale entry dropped, not kept.
+  EXPECT_EQ(c.gauge("exiot_api_cache_entries"), 0.0);
   cache.insert("/v1/snapshot", 4, plain(200, "new"));
   auto hit = cache.lookup("/v1/snapshot", 4);
   ASSERT_TRUE(hit.has_value());
@@ -44,35 +63,37 @@ TEST(ResponseCacheTest, SequenceAdvanceInvalidatesExactly) {
 
 TEST(ResponseCacheTest, LruEvictionBoundsBytes) {
   // Each entry costs ~230 bytes (key + body + headers): two fit, not three.
-  ResponseCache cache(512);
+  InstrumentedCache c(512);
+  ResponseCache& cache = c.cache;
   const std::string body(200, 'x');
   cache.insert("/a", 1, plain(200, body));
   cache.insert("/b", 1, plain(200, body));
   (void)cache.lookup("/a", 1);            // /a is now hottest.
   cache.insert("/c", 1, plain(200, body));  // Evicts the coldest: /b.
-  EXPECT_LE(cache.bytes(), 512u);
-  EXPECT_GE(cache.evictions(), 1u);
+  EXPECT_LE(c.gauge("exiot_api_cache_bytes"), 512.0);
+  EXPECT_GE(c.counter("exiot_api_cache_evictions_total"), 1u);
   EXPECT_TRUE(cache.lookup("/a", 1).has_value());
   EXPECT_FALSE(cache.lookup("/b", 1).has_value());
 }
 
 TEST(ResponseCacheTest, ZeroCapacityDisables) {
-  ResponseCache cache(0);
-  cache.insert("/a", 1, plain(200, "x"));
-  EXPECT_FALSE(cache.lookup("/a", 1).has_value());
-  EXPECT_EQ(cache.entries(), 0u);
+  InstrumentedCache c(0);
+  c.cache.insert("/a", 1, plain(200, "x"));
+  EXPECT_FALSE(c.cache.lookup("/a", 1).has_value());
+  EXPECT_EQ(c.gauge("exiot_api_cache_entries"), 0.0);
 }
 
 TEST(ResponseCacheTest, OversizeEntryAndStreamsNeverCached) {
-  ResponseCache cache(16);
-  cache.insert("/big", 1, plain(200, std::string(64, 'x')));
-  EXPECT_EQ(cache.entries(), 0u);
-  ResponseCache roomy(1 << 16);
+  InstrumentedCache small(16);
+  small.cache.insert("/big", 1, plain(200, std::string(64, 'x')));
+  EXPECT_EQ(small.gauge("exiot_api_cache_entries"), 0.0);
+  InstrumentedCache roomy(1 << 16);
   HttpResponse streaming;
   streaming.body_stream = std::make_shared<HttpResponse::BodyStream>(
       []() -> std::optional<std::string> { return std::nullopt; });
-  roomy.insert("/stream", 1, streaming);
-  EXPECT_EQ(roomy.entries(), 0u);
+  roomy.cache.insert("/stream", 1, streaming);
+  EXPECT_EQ(roomy.gauge("exiot_api_cache_entries"), 0.0);
+  EXPECT_FALSE(roomy.cache.lookup("/stream", 1).has_value());
 }
 
 TEST(ResponseCacheTest, EtagIsStrongAndStable) {
@@ -88,6 +109,8 @@ TEST(ResponseCacheTest, EtagIsStrongAndStable) {
 
 TEST(TokenBucketLimiterTest, BurstThenThrottleWithRetryAfter) {
   TokenBucketLimiter limiter({/*rate_per_s=*/1.0, /*burst=*/3.0});
+  obs::MetricsRegistry registry;
+  limiter.instrument(registry);
   const std::uint64_t t0 = 1'000'000;
   EXPECT_TRUE(limiter.check_at("a", t0).allowed);
   EXPECT_TRUE(limiter.check_at("a", t0).allowed);
@@ -95,7 +118,8 @@ TEST(TokenBucketLimiterTest, BurstThenThrottleWithRetryAfter) {
   const auto denied = limiter.check_at("a", t0);
   EXPECT_FALSE(denied.allowed);
   EXPECT_GE(denied.retry_after_s, 1);
-  EXPECT_EQ(limiter.throttled(), 1u);
+  EXPECT_EQ(registry.counter_value("exiot_api_ratelimit_throttled_total"),
+            1u);
 }
 
 TEST(TokenBucketLimiterTest, RefillsAtConfiguredRate) {
@@ -118,11 +142,14 @@ TEST(TokenBucketLimiterTest, TokensAreIsolated) {
 
 TEST(TokenBucketLimiterTest, DisabledPassesEverything) {
   TokenBucketLimiter limiter({/*rate_per_s=*/0.0});
+  obs::MetricsRegistry registry;
+  limiter.instrument(registry);
   EXPECT_FALSE(limiter.enabled());
   for (int i = 0; i < 100; ++i) {
     EXPECT_TRUE(limiter.check_at("a", 0).allowed);
   }
-  EXPECT_EQ(limiter.throttled(), 0u);
+  EXPECT_EQ(registry.counter_value("exiot_api_ratelimit_throttled_total"),
+            0u);
 }
 
 // ------------------------------------------------- server integration ----
@@ -130,6 +157,7 @@ TEST(TokenBucketLimiterTest, DisabledPassesEverything) {
 class CachedApiTest : public ::testing::Test {
  protected:
   CachedApiTest() : server_(feed_), cache_(1 << 20) {
+    cache_.instrument(metrics_);
     server_.add_token("secret");
     server_.attach_cache(&cache_, [this] { return sequence_; });
     publish(Ipv4(50, 1, 2, 3), "CN", hours(5));
@@ -159,6 +187,14 @@ class CachedApiTest : public ::testing::Test {
     return server_.handle(*req);
   }
 
+  std::uint64_t cache_hits() const {
+    return metrics_.counter_value("exiot_api_cache_hits_total");
+  }
+  double cache_entries() const {
+    return metrics_.gauge_value("exiot_api_cache_entries");
+  }
+
+  obs::MetricsRegistry metrics_;
   feed::FeedManager feed_;
   ApiServer server_;
   ResponseCache cache_;
@@ -174,7 +210,7 @@ TEST_F(CachedApiTest, SnapshotBytesIdenticalToUncachedHandler) {
   const std::string reference = uncached.handle(*req).body;
   EXPECT_EQ(get("/v1/snapshot").body, reference);  // Miss -> handler.
   EXPECT_EQ(get("/v1/snapshot").body, reference);  // Hit -> cached bytes.
-  EXPECT_EQ(cache_.hits(), 1u);
+  EXPECT_EQ(cache_hits(), 1u);
 }
 
 TEST_F(CachedApiTest, CachedEndpointsCarryEtagOthersDoNot) {
@@ -212,13 +248,13 @@ TEST_F(CachedApiTest, WindowedRecordsInvalidateOnCommit) {
   const std::string target = "/v1/records?since=" + std::to_string(hours(6));
   const auto before = get(target);
   EXPECT_EQ(get(target).body, before.body);
-  EXPECT_EQ(cache_.hits(), 1u);
+  EXPECT_EQ(cache_hits(), 1u);
 
   publish(Ipv4(80, 1, 2, 3), "FR", hours(8));  // Lands inside the window.
 
   const auto after = get(target);
   EXPECT_NE(after.body, before.body);  // Differs exactly when seq advances.
-  EXPECT_EQ(cache_.hits(), 1u);        // Stale entry missed, not served.
+  EXPECT_EQ(cache_hits(), 1u);        // Stale entry missed, not served.
 }
 
 TEST_F(CachedApiTest, QueryParameterOrderSharesOneEntry) {
@@ -226,12 +262,12 @@ TEST_F(CachedApiTest, QueryParameterOrderSharesOneEntry) {
   const auto b = get("/v1/records?limit=5&label=IoT");
   EXPECT_EQ(a.body, b.body);
   EXPECT_EQ(a.headers.at("ETag"), b.headers.at("ETag"));
-  EXPECT_EQ(cache_.entries(), 1u);  // Canonicalized to one cache key.
+  EXPECT_EQ(cache_entries(), 1.0);  // Canonicalized to one cache key.
 }
 
 TEST_F(CachedApiTest, ErrorsAreNotCached) {
   EXPECT_EQ(get("/v1/records?since=abc").status, 400);
-  EXPECT_EQ(cache_.entries(), 0u);
+  EXPECT_EQ(cache_entries(), 0.0);
 }
 
 TEST(RateLimitedApiTest, ThrottledRequestsGet429WithRetryAfter) {

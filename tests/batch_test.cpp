@@ -1,8 +1,9 @@
 // Equivalence fuzz suite for the batched paths: every routine that moves
 // packets or rows in batches must reproduce its per-item counterpart
 // exactly — same packets, same error strings, same events, bit-identical
-// scores — across batch sizes {1, 7, 64, 1024}. Batching is an
-// optimization, never a semantic fork; these tests pin that contract.
+// scores — across batch sizes {1, 7, 64, 1024} ({1, 7, 512} rows for the
+// trace decoder). Batching is an optimization, never a semantic fork;
+// these tests pin that contract.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -18,11 +19,19 @@
 #include "net/wire.h"
 #include "pipeline/ingest.h"
 #include "reference_merge.h"
+#include "reference_trace.h"
 #include "telescope/synthesizer.h"
 #include "trace/trace.h"
 
 namespace exiot {
 namespace {
+
+/// The packet's wire image, in a buffer of its own.
+std::vector<std::uint8_t> wire_image(const net::Packet& p) {
+  std::vector<std::uint8_t> bytes;
+  net::serialize_to(p, bytes);
+  return bytes;
+}
 
 constexpr std::size_t kBatchSizes[] = {1, 7, 64, 1024};
 
@@ -113,7 +122,7 @@ TEST(WireBatch, CanonicalParseAcceptsEveryEncoderImage) {
   // identical to the scalar parse.
   Rng rng(2107);
   for (const auto& p : random_packets(rng, 2000)) {
-    const auto bytes = net::serialize(p);
+    const auto bytes = wire_image(p);
     net::Packet fast;
     ASSERT_TRUE(net::parse_canonical(bytes, p.ts, fast)) << p.summary();
     auto slow = net::parse(bytes, p.ts);
@@ -132,7 +141,7 @@ TEST(WireBatch, CanonicalParseAgreesWithParseOnMutatedImages) {
                                        40000, 23, 0xDEADBEEF);
   seed_pkt.opts.mss = 1460;
   seed_pkt.opts.timestamp = true;
-  const auto clean = net::serialize(seed_pkt);
+  const auto clean = wire_image(seed_pkt);
   std::size_t accepted = 0;
   for (int round = 0; round < 4000; ++round) {
     auto bytes = clean;
@@ -151,57 +160,30 @@ TEST(WireBatch, CanonicalParseAgreesWithParseOnMutatedImages) {
   EXPECT_GT(accepted, 0u);  // Flips outside the checksummed IP header.
 }
 
-// Decodes a full stream with the scalar next() loop.
-struct ScalarDecode {
-  std::vector<net::Packet> pkts;
-  std::string error;
-};
-
-ScalarDecode decode_scalar(std::vector<std::uint8_t> bytes) {
-  ScalarDecode out;
-  trace::TraceDecoder dec(std::move(bytes));
-  net::Packet p;
-  while (dec.next(p)) out.pkts.push_back(p);
-  out.error = dec.last_error();
-  return out;
-}
-
-ScalarDecode decode_batched(std::vector<std::uint8_t> bytes,
-                            std::size_t batch_size) {
-  ScalarDecode out;
-  trace::TraceDecoder dec(std::move(bytes));
-  net::PacketBatch batch;
-  while (true) {
-    batch.clear();
-    const std::size_t n = dec.next_batch(batch, batch_size);
-    if (n == 0) break;
-    EXPECT_EQ(n, batch.size());
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      out.pkts.push_back(batch[i]);
-    }
-  }
-  out.error = dec.last_error();
-  return out;
-}
+// The decode cases compare TraceDecoder::next_batch with the scalar
+// reference decoder (reference_trace.h) at oracle::kDecodeBatchRows.
 
 TEST(TraceBatch, NextBatchMatchesScalarOnCleanStreams) {
   Rng rng(2111);
   const auto pkts = random_packets(rng, 3000);
-  const auto bytes = trace::encode_packets(pkts);
-  const ScalarDecode scalar = decode_scalar(bytes);
-  ASSERT_EQ(scalar.pkts, pkts);
-  ASSERT_TRUE(scalar.error.empty()) << scalar.error;
-  for (const std::size_t bs : kBatchSizes) {
-    const ScalarDecode batched = decode_batched(bytes, bs);
-    EXPECT_EQ(batched.pkts, scalar.pkts) << "batch size " << bs;
-    EXPECT_EQ(batched.error, scalar.error) << "batch size " << bs;
+  for (const auto& bytes : {oracle::encode_packets(pkts),
+                            oracle::encode_with_ip_options(pkts, 5)}) {
+    const oracle::DecodedTrace scalar = oracle::reference_decode(bytes);
+    ASSERT_EQ(scalar.packets, pkts);
+    ASSERT_TRUE(scalar.error.empty()) << scalar.error;
+    for (const std::size_t rows : oracle::kDecodeBatchRows) {
+      const oracle::DecodedTrace batched =
+          oracle::batched_decode(bytes, rows);
+      EXPECT_EQ(batched.packets, scalar.packets) << "rows " << rows;
+      EXPECT_EQ(batched.error, scalar.error) << "rows " << rows;
+    }
   }
 }
 
 TEST(TraceBatch, NextBatchMatchesScalarOnCorruptStreams) {
   Rng rng(2113);
   const auto pkts = random_packets(rng, 80);
-  const auto clean = trace::encode_packets(pkts);
+  const auto clean = oracle::encode_with_ip_options(pkts, 4);
   for (int round = 0; round < 400; ++round) {
     auto bytes = clean;
     const std::size_t edits = 1 + rng.next_below(6);
@@ -209,28 +191,35 @@ TEST(TraceBatch, NextBatchMatchesScalarOnCorruptStreams) {
       bytes[rng.next_below(bytes.size())] =
           static_cast<std::uint8_t>(rng.next_u64());
     }
-    const ScalarDecode scalar = decode_scalar(bytes);
-    const std::size_t bs = kBatchSizes[static_cast<std::size_t>(round) %
-                                       std::size(kBatchSizes)];
-    const ScalarDecode batched = decode_batched(bytes, bs);
-    EXPECT_EQ(batched.pkts, scalar.pkts) << "round " << round;
-    EXPECT_EQ(batched.error, scalar.error) << "round " << round;
+    const oracle::DecodedTrace scalar = oracle::reference_decode(bytes);
+    for (const std::size_t rows : oracle::kDecodeBatchRows) {
+      const oracle::DecodedTrace batched =
+          oracle::batched_decode(bytes, rows);
+      EXPECT_EQ(batched.packets, scalar.packets)
+          << "round " << round << ", rows " << rows;
+      EXPECT_EQ(batched.error, scalar.error)
+          << "round " << round << ", rows " << rows;
+    }
   }
 }
 
 TEST(TraceBatch, NextBatchMatchesScalarOnTruncatedStreams) {
   Rng rng(2115);
   const auto pkts = random_packets(rng, 40);
-  const auto clean = trace::encode_packets(pkts);
+  const auto clean = oracle::encode_with_ip_options(pkts, 3);
   for (std::size_t cut = 0; cut < clean.size(); ++cut) {
     std::vector<std::uint8_t> bytes(clean.begin(),
                                     clean.begin() +
                                         static_cast<std::ptrdiff_t>(cut));
-    const ScalarDecode scalar = decode_scalar(bytes);
-    const std::size_t bs = kBatchSizes[cut % std::size(kBatchSizes)];
-    const ScalarDecode batched = decode_batched(bytes, bs);
-    EXPECT_EQ(batched.pkts, scalar.pkts) << "cut at " << cut;
-    EXPECT_EQ(batched.error, scalar.error) << "cut at " << cut;
+    const oracle::DecodedTrace scalar = oracle::reference_decode(bytes);
+    for (const std::size_t rows : oracle::kDecodeBatchRows) {
+      const oracle::DecodedTrace batched =
+          oracle::batched_decode(bytes, rows);
+      EXPECT_EQ(batched.packets, scalar.packets)
+          << "cut at " << cut << ", rows " << rows;
+      EXPECT_EQ(batched.error, scalar.error)
+          << "cut at " << cut << ", rows " << rows;
+    }
     // A truncated stream is never a clean end: the marker is missing.
     EXPECT_FALSE(scalar.error.empty()) << "cut at " << cut;
   }
@@ -242,17 +231,16 @@ TEST(TraceTornTail, StreamEndingOnRecordBoundaryIsHardError) {
   // marker gone — must be a decode error, not a silent short read.
   Rng rng(2117);
   const auto pkts = random_packets(rng, 10);
-  auto bytes = trace::encode_packets(pkts);
+  auto bytes = oracle::encode_packets(pkts);
   bytes.resize(bytes.size() - 2);  // Strip the {0x00, 0x00} marker.
-  const ScalarDecode scalar = decode_scalar(bytes);
-  EXPECT_EQ(scalar.pkts, pkts);  // All records still decode...
+  const oracle::DecodedTrace scalar = oracle::reference_decode(bytes);
+  EXPECT_EQ(scalar.packets, pkts);  // All records still decode...
   EXPECT_NE(scalar.error.find("end-of-stream marker"), std::string::npos)
       << scalar.error;  // ...but the stream as a whole is torn.
-  auto decoded = trace::decode_packets(bytes);
-  EXPECT_FALSE(decoded.ok());
-  for (const std::size_t bs : kBatchSizes) {
-    const ScalarDecode batched = decode_batched(bytes, bs);
-    EXPECT_EQ(batched.pkts, scalar.pkts);
+  EXPECT_FALSE(oracle::decode_packets(bytes).ok());
+  for (const std::size_t rows : oracle::kDecodeBatchRows) {
+    const oracle::DecodedTrace batched = oracle::batched_decode(bytes, rows);
+    EXPECT_EQ(batched.packets, scalar.packets);
     EXPECT_EQ(batched.error, scalar.error);
   }
 }
@@ -260,28 +248,29 @@ TEST(TraceTornTail, StreamEndingOnRecordBoundaryIsHardError) {
 TEST(TraceTornTail, TrailingBytesAfterMarkerAreAnError) {
   Rng rng(2119);
   const auto pkts = random_packets(rng, 5);
-  auto bytes = trace::encode_packets(pkts);
+  auto bytes = oracle::encode_packets(pkts);
   bytes.push_back(0x17);
-  const ScalarDecode scalar = decode_scalar(bytes);
-  EXPECT_EQ(scalar.pkts, pkts);
+  const oracle::DecodedTrace scalar = oracle::reference_decode(bytes);
+  EXPECT_EQ(scalar.packets, pkts);
   EXPECT_NE(scalar.error.find("trailing bytes"), std::string::npos)
       << scalar.error;
-  const ScalarDecode batched = decode_batched(bytes, 64);
-  EXPECT_EQ(batched.pkts, scalar.pkts);
+  const oracle::DecodedTrace batched = oracle::batched_decode(bytes, 64);
+  EXPECT_EQ(batched.packets, scalar.packets);
   EXPECT_EQ(batched.error, scalar.error);
 }
 
 TEST(TraceTornTail, MagicOnlyStreamIsTorn) {
   // Four magic bytes and nothing else: before the marker rework this was
   // indistinguishable from an empty stream; now only magic + marker is.
-  auto complete = trace::encode_packets({});
+  auto complete = oracle::encode_packets({});
   ASSERT_EQ(complete.size(), 6u);  // 4 magic + 2 marker.
   std::vector<std::uint8_t> torn(complete.begin(), complete.begin() + 4);
-  const ScalarDecode scalar = decode_scalar(torn);
-  EXPECT_TRUE(scalar.pkts.empty());
-  EXPECT_FALSE(scalar.error.empty());
-  const ScalarDecode ok = decode_scalar(complete);
-  EXPECT_TRUE(ok.pkts.empty());
+  const oracle::DecodedTrace batched = oracle::batched_decode(torn, 64);
+  EXPECT_TRUE(batched.packets.empty());
+  EXPECT_FALSE(batched.error.empty());
+  EXPECT_EQ(batched.error, oracle::reference_decode(torn).error);
+  const oracle::DecodedTrace ok = oracle::batched_decode(complete, 64);
+  EXPECT_TRUE(ok.packets.empty());
   EXPECT_TRUE(ok.error.empty()) << ok.error;
 }
 
@@ -499,7 +488,7 @@ TEST(SynthBatch, EmitBatchesMatchesScalarEmit) {
   std::vector<std::vector<std::uint8_t>> want;
   for (const net::Packet& p :
        oracle::reference_merge(pop, scope, 0, 2 * kMicrosPerHour)) {
-    want.push_back(net::serialize(p));
+    want.push_back(wire_image(p));
   }
   ASSERT_GT(want.size(), 1000u);
 
@@ -511,7 +500,7 @@ TEST(SynthBatch, EmitBatchesMatchesScalarEmit) {
                            (hour + 1) * kMicrosPerHour, batch_size,
                            [&](const net::PacketBatch& batch) {
                              for (std::size_t i = 0; i < batch.size(); ++i) {
-                               got.push_back(net::serialize(batch[i]));
+                               got.push_back(wire_image(batch[i]));
                              }
                            });
     }

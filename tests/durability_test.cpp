@@ -87,18 +87,21 @@ TEST(WalTest, RollsSegmentsAndReopensAtTail) {
   store::WalOptions options;
   options.segment_bytes = 128;  // Tiny: force rolls.
   {
-    auto writer = store::WalWriter::open(dir, options);
+    obs::MetricsRegistry metrics;
+    auto writer = store::WalWriter::open(dir, options, &metrics);
     ASSERT_TRUE(writer.ok());
     for (int i = 0; i < 20; ++i) {
       ASSERT_TRUE(writer.value()->append(2, std::string(40, 'x')).ok());
     }
-    EXPECT_GT(writer.value()->segment_count(), 1u);
+    EXPECT_GT(metrics.gauge_value("exiot_wal_segments"), 1.0);
   }
   // Reopen continues the index sequence.
-  auto reopened = store::WalWriter::open(dir, options);
+  obs::MetricsRegistry metrics;
+  auto reopened = store::WalWriter::open(dir, options, &metrics);
   ASSERT_TRUE(reopened.ok());
   EXPECT_EQ(reopened.value()->next_index(), 20u);
-  EXPECT_FALSE(reopened.value()->truncated_tail_on_open());
+  EXPECT_EQ(metrics.counter_value("exiot_wal_torn_tail_truncated_total"),
+            0u);
   auto index = reopened.value()->append(2, "after-reopen");
   ASSERT_TRUE(index.ok());
   EXPECT_EQ(index.value(), 20u);
@@ -109,16 +112,20 @@ TEST(WalTest, PruneDropsCoveredSegmentsKeepsNewest) {
   const fs::path dir = scratch_dir("prune");
   store::WalOptions options;
   options.segment_bytes = 128;
-  auto writer = store::WalWriter::open(dir, options);
+  obs::MetricsRegistry metrics;
+  auto writer = store::WalWriter::open(dir, options, &metrics);
   ASSERT_TRUE(writer.ok());
   for (int i = 0; i < 20; ++i) {
     ASSERT_TRUE(writer.value()->append(1, std::string(40, 'y')).ok());
   }
-  const std::size_t before = writer.value()->segment_count();
-  ASSERT_GT(before, 2u);
+  auto segments = [&metrics] {
+    return metrics.gauge_value("exiot_wal_segments");
+  };
+  const double before = segments();
+  ASSERT_GT(before, 2.0);
   EXPECT_GT(writer.value()->prune(20), 0u);
-  EXPECT_GE(writer.value()->segment_count(), 1u);
-  EXPECT_LT(writer.value()->segment_count(), before);
+  EXPECT_GE(segments(), 1.0);
+  EXPECT_LT(segments(), before);
   // Everything the snapshot does not cover is still readable.
   auto scan = store::read_wal(dir, writer.value()->next_index());
   ASSERT_TRUE(scan.ok());
@@ -159,9 +166,11 @@ TEST(WalTest, TornTailIsTruncatedNotMisparsed) {
   EXPECT_EQ(scan.value().next_index, 4u);
 
   // The writer physically truncates the torn bytes and appends over them.
-  auto writer = store::WalWriter::open(dir, {});
+  obs::MetricsRegistry metrics;
+  auto writer = store::WalWriter::open(dir, {}, &metrics);
   ASSERT_TRUE(writer.ok());
-  EXPECT_TRUE(writer.value()->truncated_tail_on_open());
+  EXPECT_EQ(metrics.counter_value("exiot_wal_torn_tail_truncated_total"),
+            1u);
   EXPECT_EQ(writer.value()->next_index(), 4u);
   ASSERT_TRUE(writer.value()->append(1, "rewritten-4").ok());
   auto rescan = store::read_wal(dir);
@@ -200,12 +209,13 @@ TEST(WalTest, CorruptionInEarlierSegmentIsHardError) {
   store::WalOptions options;
   options.segment_bytes = 64;
   {
-    auto writer = store::WalWriter::open(dir, options);
+    obs::MetricsRegistry metrics;
+    auto writer = store::WalWriter::open(dir, options, &metrics);
     ASSERT_TRUE(writer.ok());
     for (int i = 0; i < 8; ++i) {
       ASSERT_TRUE(writer.value()->append(1, std::string(40, 'z')).ok());
     }
-    ASSERT_GT(writer.value()->segment_count(), 2u);
+    ASSERT_GT(metrics.gauge_value("exiot_wal_segments"), 2.0);
   }
   // Append-only writes cannot tear the middle of the log; corruption
   // there means the disk lied, and replaying past it would diverge.
@@ -224,12 +234,13 @@ TEST(WalTest, MissingSegmentIsHardError) {
   store::WalOptions options;
   options.segment_bytes = 64;
   {
-    auto writer = store::WalWriter::open(dir, options);
+    obs::MetricsRegistry metrics;
+    auto writer = store::WalWriter::open(dir, options, &metrics);
     ASSERT_TRUE(writer.ok());
     for (int i = 0; i < 8; ++i) {
       ASSERT_TRUE(writer.value()->append(1, std::string(40, 'w')).ok());
     }
-    ASSERT_GT(writer.value()->segment_count(), 2u);
+    ASSERT_GT(metrics.gauge_value("exiot_wal_segments"), 2.0);
   }
   auto segments = std::vector<fs::path>();
   for (const auto& entry : fs::directory_iterator(dir)) {

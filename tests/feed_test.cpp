@@ -203,20 +203,24 @@ class NotifyTest : public ::testing::Test {
   NotificationEngine engine_;
 };
 
+// The hosting organization of an IoT record is always notified too: it
+// gets the last email of each publication.
+
 TEST_F(NotifyTest, AlarmFiresForSubscribedBlock) {
-  engine_.set_notify_hosting_org(false);
   engine_.subscribe("soc@example.org", *Cidr::parse("50.1.0.0/16"));
-  EXPECT_EQ(engine_.on_record_published(sample_record(), hours(6)), 1);
-  ASSERT_EQ(sent_.size(), 1u);
+  EXPECT_EQ(engine_.on_record_published(sample_record(), hours(6)), 2);
+  ASSERT_EQ(sent_.size(), 2u);
   EXPECT_EQ(sent_[0].to, "soc@example.org");
+  EXPECT_EQ(sent_[1].to, "abuse@china-telecom.example.net");
   EXPECT_NE(sent_[0].body.find("50.1.2.3"), std::string::npos);
   EXPECT_NE(sent_[0].body.find("MikroTik"), std::string::npos);
 }
 
 TEST_F(NotifyTest, NoAlarmOutsideBlock) {
-  engine_.set_notify_hosting_org(false);
   engine_.subscribe("soc@example.org", *Cidr::parse("60.0.0.0/8"));
-  EXPECT_EQ(engine_.on_record_published(sample_record(), hours(6)), 0);
+  EXPECT_EQ(engine_.on_record_published(sample_record(), hours(6)), 1);
+  ASSERT_EQ(sent_.size(), 1u);
+  EXPECT_EQ(sent_[0].to, "abuse@china-telecom.example.net");
 }
 
 TEST_F(NotifyTest, HostingOrgNotifiedViaWhoisAbuse) {
@@ -239,11 +243,10 @@ TEST_F(NotifyTest, BenignNeverNotifies) {
 }
 
 TEST_F(NotifyTest, MultipleSubscriptionsAllFire) {
-  engine_.set_notify_hosting_org(false);
   engine_.subscribe("a@example.org", *Cidr::parse("50.0.0.0/8"));
   engine_.subscribe("b@example.org", *Cidr::parse("50.1.2.0/24"));
   engine_.subscribe("c@example.org", *Cidr::parse("50.1.2.3"));
-  EXPECT_EQ(engine_.on_record_published(sample_record(), hours(6)), 3);
+  EXPECT_EQ(engine_.on_record_published(sample_record(), hours(6)), 4);
 }
 
 }  // namespace

@@ -5,6 +5,8 @@
 
 #include <atomic>
 #include <cctype>
+#include <set>
+#include <string>
 #include <thread>
 
 #include "common/rng.h"
@@ -12,6 +14,7 @@
 #include "fingerprint/tools.h"
 #include "inet/behavior.h"
 #include "inet/device_catalog.h"
+#include "reference_fingerprint.h"
 
 namespace exiot::fingerprint {
 namespace {
@@ -277,23 +280,26 @@ TEST(DeviceTextTest, UnknownBannerLogBoundedByCapacity) {
   }
   EXPECT_EQ(log.entries().size(), 3u);
   EXPECT_EQ(log.capacity(), 3u);
-  EXPECT_EQ(log.dropped(), 7u);
-  EXPECT_EQ(registry.counter_value(
-                "exiot_fingerprint_unknown_banners_dropped_total"),
-            7u);
+  auto dropped = [&registry] {
+    return registry.counter_value(
+        "exiot_fingerprint_unknown_banners_dropped_total");
+  };
+  EXPECT_EQ(dropped(), 7u);
   // Uninteresting banners are rejected, not counted as capacity drops.
   EXPECT_FALSE(log.offer("plain text banner"));
-  EXPECT_EQ(log.dropped(), 7u);
+  EXPECT_EQ(dropped(), 7u);
 }
 
 // -------------------------------------------------------------- Tools ----
 
 std::vector<net::Packet> synth_sample(const inet::ScanBehavior& behavior,
-                                      int n) {
+                                      int n, std::uint64_t seed = 42) {
   inet::PacketSynthesizer synth(behavior, Ipv4(1, 2, 3, 4),
-                                Cidr(Ipv4(44, 0, 0, 0), 8), 42);
+                                Cidr(Ipv4(44, 0, 0, 0), 8), seed);
   std::vector<net::Packet> out;
-  for (int i = 0; i < n; ++i) out.push_back(synth.make_probe(i * 100000));
+  for (int i = 0; i < n; ++i) {
+    synth.make_probe_into(i * 100000, out.emplace_back());
+  }
   return out;
 }
 
@@ -369,9 +375,58 @@ TEST(ToolPredicateTest, MiraiSignatureExact) {
   net::Packet p = net::make_syn(0, Ipv4(1, 1, 1, 1), Ipv4(44, 2, 3, 4),
                                 4000, 23);
   p.seq = p.dst.value();
-  EXPECT_TRUE(matches_mirai(p));
+  EXPECT_EQ(fingerprint_tool({p}).tool, "Mirai");
   p.seq += 1;
-  EXPECT_FALSE(matches_mirai(p));
+  EXPECT_NE(fingerprint_tool({p}).tool, "Mirai");
+}
+
+// The fused single pass against the per-packet reference
+// (reference_fingerprint.h): same verdict, same fraction.
+void expect_matches_reference(const std::vector<net::Packet>& sample,
+                              const std::string& what) {
+  const ToolMatch want = oracle::reference_fingerprint_tool(sample);
+  const ToolMatch got = fingerprint_tool(sample);
+  EXPECT_EQ(got.tool, want.tool) << what;
+  EXPECT_EQ(got.confidence, want.confidence) << what;
+}
+
+TEST_F(ToolFingerprintTest, FusedPassMatchesPerPacketReference) {
+  std::vector<const inet::ScanBehavior*> behaviors;
+  for (const auto& b : roster_.iot_families) behaviors.push_back(&b);
+  for (const auto& b : roster_.generic_families) behaviors.push_back(&b);
+  std::set<std::string> verdicts;
+  for (const inet::ScanBehavior* b : behaviors) {
+    for (std::uint64_t seed = 1; seed <= 5; ++seed) {
+      auto sample = synth_sample(*b, 200, seed);
+      const std::string what =
+          b->family + " seed " + std::to_string(seed);
+      expect_matches_reference(sample, what);
+      verdicts.insert(fingerprint_tool(sample).tool);
+      // The same sample carried over UDP: no TCP packet, no verdict.
+      for (auto& pkt : sample) pkt.proto = net::IpProto::kUdp;
+      expect_matches_reference(sample, what + " as UDP");
+      EXPECT_EQ(fingerprint_tool(sample).tool, "unknown") << what;
+    }
+  }
+  // The roster reaches every verdict the reference can give.
+  EXPECT_EQ(verdicts, (std::set<std::string>{"Mirai", "Zmap", "Masscan",
+                                             "Nmap", "Unicorn", "unknown"}));
+
+  // Dominance exactly at and just below the 90% bar: 180 or 178 of 200
+  // packets from one tool, the rest from a scanner matching none.
+  const auto& other = family(roster_, "ssh_bruteforce");
+  for (const char* name : {"mirai", "zmap", "masscan", "nmap"}) {
+    for (const int dominant : {180, 178}) {
+      auto sample = synth_sample(family(roster_, name), dominant);
+      const auto rest = synth_sample(other, 200 - dominant);
+      sample.insert(sample.end(), rest.begin(), rest.end());
+      const std::string what =
+          std::string(name) + " at " + std::to_string(dominant) + "/200";
+      expect_matches_reference(sample, what);
+      EXPECT_EQ(fingerprint_tool(sample).tool == "unknown", dominant == 178)
+          << what;
+    }
+  }
 }
 
 }  // namespace

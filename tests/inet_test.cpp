@@ -166,6 +166,13 @@ TEST(BehaviorTest, RosterFamiliesAreLabeledConsistently) {
   }
 }
 
+/// The synthesizer's next probe at `ts`, as a value.
+net::Packet probe(PacketSynthesizer& synth, TimeMicros ts) {
+  net::Packet p;
+  synth.make_probe_into(ts, p);
+  return p;
+}
+
 TEST(BehaviorTest, MiraiUsesDstIpSeqSignature) {
   auto roster = BehaviorRoster::standard();
   const ScanBehavior* mirai = nullptr;
@@ -176,7 +183,7 @@ TEST(BehaviorTest, MiraiUsesDstIpSeqSignature) {
   PacketSynthesizer synth(*mirai, Ipv4(1, 2, 3, 4),
                           Cidr(Ipv4(44, 0, 0, 0), 8), 5);
   for (int i = 0; i < 50; ++i) {
-    auto p = synth.make_probe(i * 1000);
+    auto p = probe(synth, i * 1000);
     EXPECT_EQ(p.seq, p.dst.value());
     EXPECT_FALSE(p.opts.mss.has_value());  // Raw-socket SYN, no options.
   }
@@ -192,7 +199,7 @@ TEST(BehaviorTest, ZmapUsesIpId54321) {
   PacketSynthesizer synth(*zmap, Ipv4(5, 6, 7, 8),
                           Cidr(Ipv4(44, 0, 0, 0), 8), 6);
   for (int i = 0; i < 20; ++i) {
-    EXPECT_EQ(synth.make_probe(i).ip_id, 54321);
+    EXPECT_EQ(probe(synth, i).ip_id, 54321);
   }
 }
 
@@ -206,7 +213,7 @@ TEST(BehaviorTest, MasscanIpIdMatchesXorFingerprint) {
   PacketSynthesizer synth(*masscan, Ipv4(5, 6, 7, 8),
                           Cidr(Ipv4(44, 0, 0, 0), 8), 7);
   for (int i = 0; i < 20; ++i) {
-    auto p = synth.make_probe(i);
+    auto p = probe(synth, i);
     EXPECT_EQ(p.ip_id, (p.dst.value() ^ p.dst_port ^ p.seq) & 0xFFFF);
   }
 }
@@ -216,7 +223,7 @@ TEST(BehaviorTest, ProbesStayInsideTelescope) {
   Cidr scope(Ipv4(44, 0, 0, 0), 8);
   PacketSynthesizer synth(roster.iot_families[0], Ipv4(9, 9, 9, 9), scope, 8);
   for (int i = 0; i < 200; ++i) {
-    EXPECT_TRUE(scope.contains(synth.make_probe(i).dst));
+    EXPECT_TRUE(scope.contains(probe(synth, i).dst));
   }
 }
 
@@ -227,7 +234,7 @@ TEST(BehaviorTest, PortWeightsDriveTargetSelection) {
                           Cidr(Ipv4(44, 0, 0, 0), 8), 9);
   std::map<std::uint16_t, int> ports;
   const int n = 20000;
-  for (int i = 0; i < n; ++i) ports[synth.make_probe(i).dst_port]++;
+  for (int i = 0; i < n; ++i) ports[probe(synth, i).dst_port]++;
   EXPECT_NEAR(ports[23] / double(n), 0.50, 0.02);
   EXPECT_NEAR(ports[2323] / double(n), 0.12, 0.02);
 }
@@ -236,7 +243,7 @@ TEST(BehaviorTest, TtlReflectsPathLength) {
   auto roster = BehaviorRoster::standard();
   PacketSynthesizer synth(roster.iot_families[0], Ipv4(9, 9, 9, 9),
                           Cidr(Ipv4(44, 0, 0, 0), 8), 10);
-  auto p = synth.make_probe(0);
+  auto p = probe(synth, 0);
   EXPECT_LT(p.ttl, 64);  // Base 64 minus at least 6 hops.
   EXPECT_GE(p.ttl, 64 - 28);
 }

@@ -37,6 +37,15 @@ PipelineConfig test_config() {
 
 class PipelineIntegrationTest : public ::testing::Test {
  protected:
+  /// A pipeline registry counter (0 when never registered).
+  std::uint64_t counter(const std::string& name,
+                        const obs::Labels& labels = {}) const {
+    return pipeline_.metrics().counter_value(name, labels);
+  }
+  std::uint64_t by_label(const std::string& label) const {
+    return counter("exiot_feed_records_by_label_total", {{"label", label}});
+  }
+
   static constexpr int kDays = 2;
   PipelineIntegrationTest()
       : world_(inet::WorldModel::standard(scope())),
@@ -54,11 +63,12 @@ class PipelineIntegrationTest : public ::testing::Test {
 };
 
 TEST_F(PipelineIntegrationTest, PublishesRecords) {
-  const auto& stats = pipeline_.stats();
-  EXPECT_GT(stats.packets_processed, 10000u);
-  EXPECT_GT(stats.scanners_detected, 50u);
-  EXPECT_GT(stats.records_published, 50u);
-  EXPECT_EQ(pipeline_.feed().total_records(), stats.records_published);
+  EXPECT_GT(counter("exiot_detector_packets_processed_total"), 10000u);
+  EXPECT_GT(counter("exiot_detector_scanners_detected_total"), 50u);
+  const std::uint64_t published =
+      counter("exiot_feed_records_published_total");
+  EXPECT_GT(published, 50u);
+  EXPECT_EQ(pipeline_.feed().total_records(), published);
 }
 
 TEST_F(PipelineIntegrationTest, DetectedSourcesAreTrueScanners) {
@@ -100,17 +110,15 @@ TEST_F(PipelineIntegrationTest, BenignScannersLabeled) {
     }
   }
   EXPECT_GT(benign, 0);
-  EXPECT_EQ(pipeline_.stats().benign_records,
+  EXPECT_EQ(by_label(feed::kLabelBenign),
             static_cast<std::uint64_t>(benign));
 }
 
 TEST_F(PipelineIntegrationTest, ModelTrainsAndLabelsFlow) {
   EXPECT_GE(pipeline_.classifier().models_trained(), 1u);
-  EXPECT_GT(pipeline_.stats().labeled_examples, 30u);
+  EXPECT_GT(counter("exiot_trainer_labeled_examples_total"), 30u);
   // After the first model exists, records get IoT / non-IoT labels.
-  EXPECT_GT(pipeline_.stats().iot_records +
-                pipeline_.stats().noniot_records,
-            0u);
+  EXPECT_GT(by_label(feed::kLabelIot) + by_label(feed::kLabelNonIot), 0u);
 }
 
 TEST_F(PipelineIntegrationTest, MiraiToolFingerprinted) {
@@ -140,7 +148,7 @@ TEST_F(PipelineIntegrationTest, RecordsCarryEnrichment) {
 }
 
 TEST_F(PipelineIntegrationTest, FlowsEndViaEndFlowMessages) {
-  EXPECT_GT(pipeline_.stats().records_ended, 0u);
+  EXPECT_GT(counter("exiot_feed_records_ended_total"), 0u);
   int inactive = 0;
   pipeline_.feed().latest_store().for_each(
       [&](const store::ObjectId&, const json::Value& doc) {
@@ -162,7 +170,7 @@ TEST_F(PipelineIntegrationTest, NotificationsReachSubscribers) {
 }
 
 TEST_F(PipelineIntegrationTest, ReportsFlowEverySecond) {
-  EXPECT_GT(pipeline_.stats().report_messages, 1000u);
+  EXPECT_GT(counter("exiot_pipeline_report_messages_total"), 1000u);
 }
 
 TEST_F(PipelineIntegrationTest, ApiServesTheFeed) {
@@ -211,22 +219,16 @@ TEST_F(PipelineIntegrationTest, MetricsCoverEveryStage) {
 
 TEST_F(PipelineIntegrationTest, MetricsAgreeWithLegacyStats) {
   const obs::MetricsRegistry& metrics = pipeline_.metrics();
-  const PipelineStats stats = pipeline_.stats();
-  EXPECT_EQ(metrics.counter_value("exiot_feed_records_published_total"),
-            stats.records_published);
-  EXPECT_EQ(metrics.counter_value("exiot_detector_packets_processed_total"),
-            stats.packets_processed);
-  EXPECT_EQ(metrics.counter_value("exiot_detector_scanners_detected_total"),
-            stats.scanners_detected);
-  EXPECT_EQ(metrics.counter_value("exiot_trainer_labeled_examples_total"),
-            stats.labeled_examples);
-  EXPECT_EQ(metrics.counter_value("exiot_trainer_models_trained_total"),
-            stats.models_trained);
-  EXPECT_EQ(stats.records_published, pipeline_.feed().total_records());
+  const std::uint64_t published =
+      counter("exiot_feed_records_published_total");
+  EXPECT_EQ(counter("exiot_trainer_models_trained_total"),
+            pipeline_.classifier().models_trained());
+  EXPECT_EQ(published, pipeline_.feed().total_records());
   // By-label counters partition the published records.
-  EXPECT_EQ(stats.iot_records + stats.noniot_records + stats.benign_records +
-                stats.unlabeled_records,
-            stats.records_published);
+  EXPECT_EQ(by_label(feed::kLabelIot) + by_label(feed::kLabelNonIot) +
+                by_label(feed::kLabelBenign) +
+                by_label(feed::kLabelUnlabeled),
+            published);
   // Every scanner entering the scan module got one probe outcome class.
   EXPECT_EQ(
       metrics.counter_value("exiot_probe_outcomes_total",
@@ -257,7 +259,7 @@ TEST_F(PipelineIntegrationTest, MetricsServedThroughApi) {
   // The published-records sample is present with its exact value.
   const std::string sample =
       "\nexiot_feed_records_published_total " +
-      std::to_string(pipeline_.stats().records_published) + "\n";
+      std::to_string(counter("exiot_feed_records_published_total")) + "\n";
   EXPECT_NE(res.body.find(sample), std::string::npos);
 }
 
@@ -268,8 +270,9 @@ TEST_F(PipelineIntegrationTest, TunnelOutageDelaysButKeepsRecords) {
   delayed.tunnel().schedule_outage(hours(4), hours(9));
   delayed.run_days(0, kDays);
   delayed.finish();
-  EXPECT_EQ(delayed.stats().records_published,
-            pipeline_.stats().records_published);
+  EXPECT_EQ(delayed.metrics().counter_value(
+                "exiot_feed_records_published_total"),
+            counter("exiot_feed_records_published_total"));
   // Records whose path crossed the outage published strictly later.
   std::uint64_t later = 0;
   for (const auto& record :

@@ -347,23 +347,5 @@ TEST(SelectionTest, SelectsModelWithGoodAuc) {
   EXPECT_GT(selected.test_confusion.tp, 0);
 }
 
-TEST(ModelRegistryTest, AtTimeReturnsNewestEligible) {
-  ModelRegistry registry;
-  EXPECT_EQ(registry.latest(), nullptr);
-  EXPECT_EQ(registry.at_time(hours(100)), nullptr);
-  for (int day = 1; day <= 3; ++day) {
-    SelectedModel m;
-    m.trained_at = day * kMicrosPerDay;
-    m.test_auc = day;
-    registry.store(std::move(m));
-  }
-  EXPECT_EQ(registry.size(), 3u);
-  EXPECT_DOUBLE_EQ(registry.latest()->test_auc, 3.0);
-  EXPECT_EQ(registry.at_time(kMicrosPerDay / 2), nullptr);
-  EXPECT_DOUBLE_EQ(registry.at_time(kMicrosPerDay)->test_auc, 1.0);
-  EXPECT_DOUBLE_EQ(
-      registry.at_time(2 * kMicrosPerDay + hours(3))->test_auc, 2.0);
-}
-
 }  // namespace
 }  // namespace exiot::ml

@@ -310,9 +310,19 @@ TEST(ThreadedIngestTest, SourceErrorReachesCaller) {
 
 // -------------------------------------------------- Pipeline determinism ----
 
+/// Headline counters the determinism test compares, read from the
+/// pipeline registry.
+const char* const kHeadlineCounters[] = {
+    "exiot_detector_packets_processed_total",
+    "exiot_detector_scanners_detected_total",
+    "exiot_feed_records_published_total",
+    "exiot_pipeline_report_messages_total"};
+
 /// Runs the full pipeline over a small population at the given shard
-/// count and returns the exported feed plus headline counters.
-std::string feed_jsonl_at_shards(int shards, PipelineStats* stats_out) {
+/// count and returns the exported feed plus the headline counters, in
+/// kHeadlineCounters order.
+std::string feed_jsonl_at_shards(int shards,
+                                 std::vector<std::uint64_t>* counters_out) {
   inet::PopulationConfig config;
   config.iot_per_day = 30;
   config.generic_per_day = 20;
@@ -330,22 +340,21 @@ std::string feed_jsonl_at_shards(int shards, PipelineStats* stats_out) {
   ExIotPipeline pipe(population, world, pipe_config);
   pipe.run_days(0, 1);
   pipe.finish();
-  if (stats_out != nullptr) *stats_out = pipe.stats();
+  for (const char* name : kHeadlineCounters) {
+    counters_out->push_back(pipe.metrics().counter_value(name));
+  }
   std::ostringstream out;
   feed::export_jsonl(pipe.feed(), out);
   return out.str();
 }
 
 TEST(PipelineDeterminismTest, FeedOutputInvariantAcrossShardCounts) {
-  PipelineStats single_stats, sharded_stats;
-  const std::string single = feed_jsonl_at_shards(1, &single_stats);
-  const std::string sharded = feed_jsonl_at_shards(4, &sharded_stats);
-  EXPECT_GT(single_stats.records_published, 0u);
+  std::vector<std::uint64_t> single_counters, sharded_counters;
+  const std::string single = feed_jsonl_at_shards(1, &single_counters);
+  const std::string sharded = feed_jsonl_at_shards(4, &sharded_counters);
+  EXPECT_GT(single_counters[2], 0u);  // Records published.
   EXPECT_EQ(single, sharded);  // Byte-identical feed export.
-  EXPECT_EQ(single_stats.packets_processed, sharded_stats.packets_processed);
-  EXPECT_EQ(single_stats.scanners_detected, sharded_stats.scanners_detected);
-  EXPECT_EQ(single_stats.records_published, sharded_stats.records_published);
-  EXPECT_EQ(single_stats.report_messages, sharded_stats.report_messages);
+  EXPECT_EQ(single_counters, sharded_counters);
 }
 
 // ------------------------------------------------- Pending re-detection ----
@@ -395,7 +404,9 @@ TEST(PipelineRedetectionTest, RedetectionPreservesInFlightPendingState) {
   pipe.run_hours(0, 5);
   pipe.finish();
 
-  EXPECT_EQ(pipe.stats().scanners_detected, 2u);
+  EXPECT_EQ(pipe.metrics().counter_value(
+                "exiot_detector_scanners_detected_total"),
+            2u);
   EXPECT_EQ(pipe.metrics().counter_value(
                 "exiot_pipeline_pending_clobbered_total"),
             1u);
@@ -408,15 +419,24 @@ TEST(PipelineRedetectionTest, RedetectionPreservesInFlightPendingState) {
 
 // --------------------------------------------------------------- Tunnel ----
 
+/// Tunnel messages by status ("direct" / "delayed") in `registry`.
+std::uint64_t tunnel_messages(const obs::MetricsRegistry& registry,
+                              const char* status) {
+  return registry.counter_value("exiot_tunnel_messages_total",
+                                {{"status", status}, {"site", "site0"}});
+}
+
 TEST(TunnelTest, ConnectedPassesThrough) {
-  ReconnectingTunnel tunnel;
+  obs::MetricsRegistry registry;
+  ReconnectingTunnel tunnel(seconds(5), &registry);
   EXPECT_EQ(tunnel.deliver(seconds(100)), seconds(100));
-  EXPECT_EQ(tunnel.delayed_messages(), 0u);
-  EXPECT_EQ(tunnel.messages(), 1u);
+  EXPECT_EQ(tunnel_messages(registry, "delayed"), 0u);
+  EXPECT_EQ(tunnel_messages(registry, "direct"), 1u);
 }
 
 TEST(TunnelTest, OutageDelaysWithoutLoss) {
-  ReconnectingTunnel tunnel(seconds(5));
+  obs::MetricsRegistry registry;
+  ReconnectingTunnel tunnel(seconds(5), &registry);
   tunnel.schedule_outage(seconds(100), seconds(200));
   EXPECT_FALSE(tunnel.connected_at(seconds(150)));
   EXPECT_TRUE(tunnel.connected_at(seconds(250)));
@@ -429,7 +449,7 @@ TEST(TunnelTest, OutageDelaysWithoutLoss) {
   // the regression the old model got wrong (it passed it through).
   EXPECT_EQ(tunnel.deliver(seconds(201)), seconds(205));
   EXPECT_EQ(tunnel.deliver(seconds(205)), seconds(205));
-  EXPECT_EQ(tunnel.delayed_messages(), 2u);
+  EXPECT_EQ(tunnel_messages(registry, "delayed"), 2u);
 }
 
 // The reconnect window is part of the blackout: connected_at and
@@ -477,14 +497,15 @@ TEST(TunnelTest, ReconnectWindowOverlappingNextOutageCascades) {
 
 // Overlapping outage injections merge at schedule time into one span.
 TEST(TunnelTest, OverlappingOutagesMergeOnInsert) {
-  ReconnectingTunnel tunnel(seconds(5));
+  obs::MetricsRegistry registry;
+  ReconnectingTunnel tunnel(seconds(5), &registry);
   tunnel.schedule_outage(seconds(150), seconds(250));
   tunnel.schedule_outage(seconds(100), seconds(200));  // Overlaps before.
   tunnel.schedule_outage(seconds(240), seconds(260));  // Overlaps after.
   // One merged outage [100, 260): a single reconnect is crossed.
   EXPECT_EQ(tunnel.delivery_time(seconds(120)), seconds(265));
   EXPECT_EQ(tunnel.deliver(seconds(120)), seconds(265));
-  EXPECT_EQ(tunnel.delayed_messages(), 1u);
+  EXPECT_EQ(tunnel_messages(registry, "delayed"), 1u);
 }
 
 // deliver and delivery_time share one cascade walk, so the reconnect
@@ -520,13 +541,18 @@ std::vector<net::Packet> sample_of(int n) {
 }
 
 TEST(OrganizerTest, DropsShortSamples) {
-  PacketOrganizer organizer(OrganizerConfig{.min_samples = 20});
+  obs::MetricsRegistry registry;
+  PacketOrganizer organizer(OrganizerConfig{.min_samples = 20}, &registry);
+  auto sources = [&registry](const char* result) {
+    return registry.counter_value("exiot_organizer_sources_total",
+                                  {{"result", result}});
+  };
   EXPECT_FALSE(organizer.organize(Ipv4(1, 2, 3, 4), sample_of(19))
                    .has_value());
-  EXPECT_EQ(organizer.dropped_sources(), 1u);
+  EXPECT_EQ(sources("dropped"), 1u);
   EXPECT_TRUE(organizer.organize(Ipv4(1, 2, 3, 4), sample_of(20))
                   .has_value());
-  EXPECT_EQ(organizer.organized_sources(), 1u);
+  EXPECT_EQ(sources("organized"), 1u);
 }
 
 TEST(OrganizerTest, SortsByArrivalTime) {
@@ -612,12 +638,15 @@ TEST_F(ScanModuleTest, TimeFlushAfterSixtyMinutes) {
 }
 
 TEST_F(ScanModuleTest, UnknownBannerLogCollectsScrubbedDeviceText) {
-  ScanModule module(prober_, fingerprint::RuleDb::standard());
+  obs::MetricsRegistry registry;
+  ScanModule module(prober_, fingerprint::RuleDb::standard(), {},
+                    &registry);
   for (const auto& host : pop_.hosts()) {
     (void)module.submit(host.addr, 0);
   }
   (void)module.flush(minutes(120));
-  EXPECT_EQ(module.probed(), pop_.hosts().size());
+  EXPECT_EQ(registry.counter_value("exiot_scan_module_probed_total"),
+            pop_.hosts().size());
 }
 
 // ----------------------------------------------------- UpdateClassifier ----

@@ -221,7 +221,8 @@ TEST(ReportStoreTest, PipelineEndToEndFillsStore) {
   pipe.finish();
   EXPECT_GT(pipe.reports().hours_recorded(), 10u);
   EXPECT_EQ(pipe.reports().totals().packets,
-            pipe.stats().packets_processed);
+            pipe.metrics().counter_value(
+                "exiot_detector_packets_processed_total"));
 }
 
 }  // namespace

@@ -23,6 +23,7 @@
 #include "feed/manager.h"
 #include "json/json.h"
 #include "net/wire.h"
+#include "reference_trace.h"
 #include "trace/trace.h"
 
 namespace exiot {
@@ -46,7 +47,8 @@ TEST(WireRobustness, BitFlippedPacketsNeverCrash) {
                                 40000, 23);
   p.opts.mss = 1460;
   p.opts.timestamp = true;
-  const auto clean = net::serialize(p);
+  std::vector<std::uint8_t> clean;
+  net::serialize_to(p, clean);
   for (int round = 0; round < 2000; ++round) {
     auto bytes = clean;
     const std::size_t flips = 1 + rng.next_below(4);
@@ -58,6 +60,18 @@ TEST(WireRobustness, BitFlippedPacketsNeverCrash) {
   }
 }
 
+// next_batch against the reference decoder at every batch size: the same
+// packets, the same stopping point, the same error text.
+void expect_decoders_agree(const std::vector<std::uint8_t>& bytes,
+                           const std::string& what) {
+  const oracle::DecodedTrace want = oracle::reference_decode(bytes);
+  for (const std::size_t rows : oracle::kDecodeBatchRows) {
+    const oracle::DecodedTrace got = oracle::batched_decode(bytes, rows);
+    EXPECT_EQ(got.packets, want.packets) << what << ", rows " << rows;
+    EXPECT_EQ(got.error, want.error) << what << ", rows " << rows;
+  }
+}
+
 TEST(TraceRobustness, CorruptedStreamsErrorOut) {
   Rng rng(107);
   std::vector<net::Packet> pkts;
@@ -65,7 +79,8 @@ TEST(TraceRobustness, CorruptedStreamsErrorOut) {
     pkts.push_back(net::make_syn(i * 1000, Ipv4(1, 1, 1, 1),
                                  Ipv4(44, 0, 0, 1), 4000, 23));
   }
-  const auto clean = trace::encode_packets(pkts);
+  // Every third record is off the canonical fast path.
+  const auto clean = oracle::encode_with_ip_options(pkts, 3);
   for (int round = 0; round < 500; ++round) {
     auto bytes = clean;
     // Corrupt a random span.
@@ -75,11 +90,9 @@ TEST(TraceRobustness, CorruptedStreamsErrorOut) {
     for (std::size_t i = 0; i < len; ++i) {
       bytes[at + i] = static_cast<std::uint8_t>(rng.next_u64());
     }
-    trace::TraceDecoder decoder(std::move(bytes));
-    net::Packet out;
-    std::size_t decoded = 0;
-    while (decoder.next(out) && decoded < 1000) ++decoded;
-    EXPECT_LE(decoded, pkts.size());  // Never invents extra packets.
+    // Never invents extra packets.
+    EXPECT_LE(oracle::reference_decode(bytes).packets.size(), pkts.size());
+    expect_decoders_agree(bytes, "round " + std::to_string(round));
   }
 }
 
@@ -89,17 +102,30 @@ TEST(TraceRobustness, TruncationAtEveryOffset) {
     pkts.push_back(net::make_syn(i * 1000, Ipv4(1, 1, 1, 1),
                                  Ipv4(44, 0, 0, 1), 4000, 23));
   }
-  const auto clean = trace::encode_packets(pkts);
+  const auto clean = oracle::encode_with_ip_options(pkts, 2);
+  ASSERT_EQ(oracle::reference_decode(clean).packets, pkts);
   for (std::size_t cut = 0; cut < clean.size(); ++cut) {
     std::vector<std::uint8_t> bytes(clean.begin(),
                                     clean.begin() +
                                         static_cast<std::ptrdiff_t>(cut));
-    trace::TraceDecoder decoder(std::move(bytes));
-    net::Packet out;
-    std::size_t decoded = 0;
-    while (decoder.next(out)) ++decoded;
-    EXPECT_LE(decoded, pkts.size());
+    // A cut stream always lacks its marker: never a clean end.
+    EXPECT_FALSE(oracle::reference_decode(bytes).error.empty());
+    expect_decoders_agree(bytes, "cut at " + std::to_string(cut));
   }
+}
+
+TEST(TraceRobustness, HugeRecordLengthIsATruncatedBody) {
+  // A corrupt ten-byte length varint close to 2^64: the bounds check must
+  // not wrap around and hand the parser a body past the buffer's end.
+  std::vector<std::uint8_t> bytes = {'E', 'X', 'T', '1', 0x00};
+  for (int i = 0; i < 9; ++i) bytes.push_back(0xFF);
+  bytes.push_back(0x01);  // Length 2^64 - 1.
+  bytes.resize(bytes.size() + 40, 0x45);
+  trace::TraceDecoder decoder(bytes);
+  net::PacketBatch batch;
+  EXPECT_EQ(decoder.next_batch(batch, 8), 0u);
+  EXPECT_EQ(decoder.last_error(), "truncated packet body");
+  expect_decoders_agree(bytes, "huge length");
 }
 
 TEST(JsonRobustness, RandomAsciiNeverCrashes) {

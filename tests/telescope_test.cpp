@@ -458,9 +458,12 @@ TEST(CaptureTest, WritesManifestAndFiles) {
     EXPECT_TRUE(fs::exists(hour.file)) << hour.file;
     EXPECT_EQ(hour.ready_time, model.file_ready_time(hour.hour_index));
     manifest_total += hour.packet_count;
-    auto n = trace::read_trace_file(hour.file, [&](const net::Packet& p) {
-      EXPECT_EQ(p.ts / kMicrosPerHour, hour.hour_index);
-    });
+    auto n =
+        trace::read_trace_file(hour.file, [&](const net::PacketBatch& batch) {
+          for (const net::Packet& p : batch.packets()) {
+            EXPECT_EQ(p.ts / kMicrosPerHour, hour.hour_index);
+          }
+        });
     ASSERT_TRUE(n.ok());
     disk_total += n.value();
   }

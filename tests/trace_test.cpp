@@ -7,12 +7,15 @@
 
 #include "common/rng.h"
 #include "net/wire.h"
+#include "reference_trace.h"
 #include "trace/trace.h"
 
 namespace exiot::trace {
 namespace {
 
 namespace fs = std::filesystem;
+using oracle::decode_packets;
+using oracle::encode_packets;
 
 net::Packet probe(TimeMicros ts, std::uint32_t src, std::uint16_t port) {
   return net::make_syn(ts, Ipv4(src), Ipv4(44, 0, 0, 1), 40000, port, src);
@@ -79,7 +82,8 @@ TEST(TraceCodec, CompressionBeatsRawWire) {
   Rng rng(5);
   auto pkts = random_packets(1000, rng, seconds(100));
   std::size_t raw = 0;
-  for (const auto& p : pkts) raw += net::serialize(p).size() + 12;
+  std::vector<std::uint8_t> wire;
+  for (const auto& p : pkts) raw += net::serialize_to(p, wire) + 12;
   auto encoded = encode_packets(pkts);
   // Delta timestamps should beat 8-byte-per-packet timestamp framing.
   EXPECT_LT(encoded.size(), raw);
@@ -100,8 +104,8 @@ TEST(TraceCodec, DecoderReportsCorruptPacket) {
   auto bytes = encode_packets({probe(0, 1, 80)});
   bytes[bytes.size() - 25] ^= 0xFF;  // Corrupt inside the IP header.
   TraceDecoder dec(bytes);
-  net::Packet out;
-  EXPECT_FALSE(dec.next(out));
+  net::PacketBatch batch;
+  EXPECT_EQ(dec.next_batch(batch, 8), 0u);
   EXPECT_FALSE(dec.last_error().empty());
 }
 
@@ -132,7 +136,7 @@ TEST_F(HourlyWriterTest, SplitsFilesOnHourBoundaries) {
   std::size_t total = 0;
   for (int h = 0; h < 3; ++h) {
     auto n = read_trace_file(dir_ / HourlyTraceWriter::file_name(h),
-                             [](const net::Packet&) {});
+                             [](const net::PacketBatch&) {});
     ASSERT_TRUE(n.ok());
     total += n.value();
   }
@@ -150,7 +154,10 @@ TEST_F(HourlyWriterTest, PacketsLandInTheirHourFile) {
   }
   std::vector<net::Packet> seen;
   auto n = read_trace_file(dir_ / HourlyTraceWriter::file_name(1),
-                           [&](const net::Packet& p) { seen.push_back(p); });
+                           [&](const net::PacketBatch& batch) {
+                             seen.insert(seen.end(), batch.packets().begin(),
+                                         batch.packets().end());
+                           });
   ASSERT_TRUE(n.ok());
   EXPECT_EQ(n.value(), 10u);
   for (const auto& p : seen) {
@@ -158,15 +165,43 @@ TEST_F(HourlyWriterTest, PacketsLandInTheirHourFile) {
   }
 }
 
+TEST_F(HourlyWriterTest, ReadDeliversFullBatchesThenTheTornTail) {
+  std::vector<net::Packet> pkts;
+  for (std::uint32_t i = 0; i < 2500; ++i) {
+    pkts.push_back(probe(seconds(i), 0x01000000 + i, 23));
+  }
+  auto bytes = encode_packets(pkts);
+  bytes.resize(bytes.size() - 2);  // Strip the end-of-stream marker.
+  fs::create_directories(dir_);
+  const fs::path file = dir_ / "torn.ext";
+  std::ofstream(file, std::ios::binary)
+      .write(reinterpret_cast<const char*>(bytes.data()),
+             static_cast<std::streamsize>(bytes.size()));
+  std::vector<std::size_t> sizes;
+  std::vector<net::Packet> seen;
+  auto n = read_trace_file(file, [&](const net::PacketBatch& batch) {
+    sizes.push_back(batch.size());
+    seen.insert(seen.end(), batch.packets().begin(), batch.packets().end());
+  });
+  // Every record arrives, in order and in full batches, before the
+  // missing marker turns the read into an error.
+  EXPECT_FALSE(n.ok());
+  EXPECT_EQ(seen, pkts);
+  EXPECT_EQ(sizes, (std::vector<std::size_t>{kReadBatchRows, kReadBatchRows,
+                                             2500 - 2 * kReadBatchRows}));
+}
+
 TEST_F(HourlyWriterTest, MissingFileIsAnError) {
-  auto r = read_trace_file(dir_ / "nonexistent.ext", [](const net::Packet&) {});
+  auto r = read_trace_file(dir_ / "nonexistent.ext",
+                           [](const net::PacketBatch&) {});
   EXPECT_FALSE(r.ok());
 }
 
 TEST_F(HourlyWriterTest, CorruptFileIsAnError) {
   fs::create_directories(dir_);
   std::ofstream(dir_ / "bad.ext") << "this is not a trace";
-  auto r = read_trace_file(dir_ / "bad.ext", [](const net::Packet&) {});
+  auto r =
+      read_trace_file(dir_ / "bad.ext", [](const net::PacketBatch&) {});
   EXPECT_FALSE(r.ok());
 }
 
@@ -177,7 +212,7 @@ TEST_F(HourlyWriterTest, DestructorFlushesOpenHour) {
     // No explicit close: destructor must flush.
   }
   auto n = read_trace_file(dir_ / HourlyTraceWriter::file_name(0),
-                           [](const net::Packet&) {});
+                           [](const net::PacketBatch&) {});
   ASSERT_TRUE(n.ok());
   EXPECT_EQ(n.value(), 1u);
 }
@@ -198,11 +233,14 @@ TEST_F(HourlyWriterTest, SteppingBackIntoAWrittenHourIsAnError) {
   }
   std::vector<net::Packet> seen;
   auto n = read_trace_file(dir_ / HourlyTraceWriter::file_name(0),
-                           [&](const net::Packet& p) { seen.push_back(p); });
+                           [&](const net::PacketBatch& batch) {
+                             seen.insert(seen.end(), batch.packets().begin(),
+                                         batch.packets().end());
+                           });
   ASSERT_TRUE(n.ok());
   EXPECT_EQ(seen, hour0);
   n = read_trace_file(dir_ / HourlyTraceWriter::file_name(1),
-                      [](const net::Packet&) {});
+                      [](const net::PacketBatch&) {});
   ASSERT_TRUE(n.ok());
   EXPECT_EQ(n.value(), 1u);
 }

@@ -29,7 +29,9 @@ namespace {
 
 struct RunOutput {
   std::string feed;
-  PipelineStats stats;
+  std::uint64_t records_published = 0;
+  std::uint64_t iot_records = 0;
+  std::uint64_t noniot_records = 0;
   std::uint64_t spans_recorded = 0;
 };
 
@@ -61,7 +63,13 @@ RunOutput run_pipeline(int annotate_workers, int producers, int shards,
   pipe.finish();
 
   RunOutput out;
-  out.stats = pipe.stats();
+  const obs::MetricsRegistry& m = pipe.metrics();
+  out.records_published =
+      m.counter_value("exiot_feed_records_published_total");
+  out.iot_records = m.counter_value("exiot_feed_records_by_label_total",
+                                    {{"label", feed::kLabelIot}});
+  out.noniot_records = m.counter_value("exiot_feed_records_by_label_total",
+                                       {{"label", feed::kLabelNonIot}});
   out.spans_recorded = pipe.tracer().spans_recorded();
   std::ostringstream feed;
   feed::export_jsonl(pipe.feed(), feed);
@@ -91,7 +99,7 @@ TEST(TracingDeterminismTest, FeedInvariantAcrossSamplingMatrix) {
   // parallelism at 0%, 1%, or 100% sampling — must produce byte-identical
   // feed output: tracing observes records, it never touches them.
   const RunOutput baseline = run_pipeline(1, 1, 1, 0.0);
-  EXPECT_GT(baseline.stats.records_published, 0u);
+  EXPECT_GT(baseline.records_published, 0u);
   EXPECT_EQ(baseline.spans_recorded, 0u);
   for (const auto& [workers, producers, shards, sample] :
        {std::tuple{1, 1, 1, 1.0}, std::tuple{2, 2, 2, 0.0},
@@ -101,10 +109,9 @@ TEST(TracingDeterminismTest, FeedInvariantAcrossSamplingMatrix) {
     EXPECT_EQ(baseline.feed, run.feed)
         << "workers=" << workers << " producers=" << producers
         << " shards=" << shards << " sample=" << sample;
-    EXPECT_EQ(baseline.stats.records_published,
-              run.stats.records_published);
-    EXPECT_EQ(baseline.stats.iot_records, run.stats.iot_records);
-    EXPECT_EQ(baseline.stats.noniot_records, run.stats.noniot_records);
+    EXPECT_EQ(baseline.records_published, run.records_published);
+    EXPECT_EQ(baseline.iot_records, run.iot_records);
+    EXPECT_EQ(baseline.noniot_records, run.noniot_records);
     if (sample == 0.0) {
       EXPECT_EQ(run.spans_recorded, 0u);
     } else if (sample == 1.0) {

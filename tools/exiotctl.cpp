@@ -94,6 +94,7 @@
 #include <atomic>
 #include <charconv>
 #include <chrono>
+#include <cmath>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -164,12 +165,26 @@ class Args {
     return parsed;
   }
   /// get_int plus a >= 1 check, for thread/shard/capacity counts where
-  /// zero or a negative would hang or crash the pipeline.
+  /// zero or a negative would hang or crash the pipeline, and for run
+  /// lengths (--days, --hours), where they would run nothing and exit 0.
   int get_positive_int(const std::string& flag, int fallback) const {
     const int value = get_int(flag, fallback);
     if (value < 1) {
       std::fprintf(stderr, "exiotctl: %s must be >= 1, got %d\n",
                    flag.c_str(), value);
+      std::exit(2);
+    }
+    return value;
+  }
+  /// get_double plus a finite > 0 check, for the population --scale: a
+  /// zero, negative or non-finite scale would clamp every host class to
+  /// one host and still publish a feed.
+  double get_positive_double(const std::string& flag,
+                             double fallback) const {
+    const double value = get_double(flag, fallback);
+    if (!std::isfinite(value) || value <= 0.0) {
+      std::fprintf(stderr, "exiotctl: %s must be a finite number > 0, "
+                   "got \"%s\"\n", flag.c_str(), get(flag).c_str());
       std::exit(2);
     }
     return value;
@@ -333,8 +348,8 @@ int cmd_capture(const Args& args) {
     std::fprintf(stderr, "capture: --dir is required\n");
     return 2;
   }
-  const double scale = args.get_double("--scale", 0.1);
-  const int hours_n = args.get_int("--hours", 6);
+  const double scale = args.get_positive_double("--scale", 0.1);
+  const int hours_n = args.get_positive_int("--hours", 6);
   auto world = inet::WorldModel::standard(aperture());
   inet::PopulationConfig config;
   config.seed = static_cast<std::uint64_t>(args.get_int("--seed", 42));
@@ -391,37 +406,24 @@ int cmd_replay(const Args& args) {
   events.on_flow_end = [&](const flow::FlowSummary&) { ++flows_ended; };
   pipeline::ThreadedIngest ingest(pipeline::IngestConfig{},
                                   flow::DetectorConfig{}, std::move(events));
-  constexpr std::size_t kBatchRows = 1024;
-  net::PacketBatch batch;
-  batch.reserve(kBatchRows);
   std::printf("%-26s %10s %10s %12s\n", "file", "packets", "scanners",
               "flows_ended");
   for (const auto& [hour, path] : files) {
     const std::string name = path.filename().string();
-    std::ifstream in(path, std::ios::binary);
-    trace::TraceDecoder decoder(std::vector<std::uint8_t>(
-        (std::istreambuf_iterator<char>(in)),
-        std::istreambuf_iterator<char>()));
     const std::size_t scanners_before = scanners;
     const std::size_t ended_before = flows_ended;
+    std::string error;
     // The file's hour moves through the production capture->detect path;
     // its idle flows expire at the end of that hour.
     const std::size_t n = ingest.run_hour_batched(
         [&](const pipeline::ThreadedIngest::BatchFn& fn) {
-          std::size_t total = 0;
-          while (true) {
-            batch.clear();
-            const std::size_t got = decoder.next_batch(batch, kBatchRows);
-            if (got == 0) break;
-            total += got;
-            fn(batch);
-          }
-          return total;
+          auto read = trace::read_trace_file(path, fn);
+          if (!read.ok()) error = read.error().message;
+          return read.value_or(0);
         },
         (hour + 1) * kMicrosPerHour);
-    if (!decoder.last_error().empty()) {
-      std::fprintf(stderr, "replay: %s: %s\n", name.c_str(),
-                   decoder.last_error().c_str());
+    if (!error.empty()) {
+      std::fprintf(stderr, "replay: %s: %s\n", name.c_str(), error.c_str());
       return 1;
     }
     std::printf("%-26s %10zu %10zu %12zu\n", name.c_str(), n,
@@ -439,8 +441,8 @@ int cmd_replay(const Args& args) {
 }
 
 int cmd_simulate(const Args& args) {
-  const double scale = args.get_double("--scale", 0.2);
-  const int days = args.get_int("--days", 1);
+  const double scale = args.get_positive_double("--scale", 0.2);
+  const int days = args.get_positive_int("--days", 1);
   auto world = inet::WorldModel::standard(aperture());
   inet::PopulationConfig config;
   config.days = days;
@@ -475,8 +477,8 @@ int cmd_simulate(const Args& args) {
 }
 
 int cmd_metrics(const Args& args) {
-  const double scale = args.get_double("--scale", 0.2);
-  const int days = args.get_int("--days", 1);
+  const double scale = args.get_positive_double("--scale", 0.2);
+  const int days = args.get_positive_int("--days", 1);
   const std::string format = args.get("--format", "prom");
   if (format != "prom" && format != "json") {
     std::fprintf(stderr, "metrics: --format must be prom or json\n");
@@ -508,8 +510,8 @@ int cmd_metrics(const Args& args) {
 }
 
 int cmd_trace(const Args& args) {
-  const double scale = args.get_double("--scale", 0.2);
-  const int days = args.get_int("--days", 1);
+  const double scale = args.get_positive_double("--scale", 0.2);
+  const int days = args.get_positive_int("--days", 1);
   const std::string format = args.get("--format", "table");
   if (format != "table" && format != "json") {
     std::fprintf(stderr, "trace: --format must be table or json\n");
@@ -604,8 +606,8 @@ std::atomic<bool> g_serve_stop{false};
 void on_serve_signal(int) { g_serve_stop.store(true); }
 
 int cmd_serve(const Args& args) {
-  const double scale = args.get_double("--scale", 0.2);
-  const int days = args.get_int("--days", 1);
+  const double scale = args.get_positive_double("--scale", 0.2);
+  const int days = args.get_positive_int("--days", 1);
   auto world = inet::WorldModel::standard(aperture());
   inet::PopulationConfig config;
   config.days = days;
