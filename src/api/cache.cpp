@@ -6,7 +6,7 @@ namespace exiot::api {
 
 std::string response_etag(std::uint64_t version, const std::string& key) {
   // FNV-1a over the canonical target: the tag must be stable across
-  // processes (a restarted server at the same committer sequence serves
+  // processes (a restarted server at the same commit sequence serves
   // the same bytes), so no std::hash.
   std::uint64_t h = 1469598103934665603ull;
   for (const char c : key) {
@@ -32,7 +32,7 @@ void ResponseCache::instrument(obs::MetricsRegistry& registry) {
       "Cache lookups that fell through to the handler.");
   stale_c_ = &registry.counter(
       "exiot_api_cache_stale_total",
-      "Entries invalidated by a committer-sequence advance.");
+      "Entries invalidated by a commit-sequence advance.");
   evictions_c_ = &registry.counter("exiot_api_cache_evictions_total",
                                    "Entries evicted by LRU byte pressure.");
   bytes_g_ = &registry.gauge("exiot_api_cache_bytes",

@@ -1,6 +1,6 @@
 // Sequence-keyed response cache for the hot read-only API queries
 // (/v1/snapshot, recent-window /v1/records). The cache key is the
-// canonical request target; the validity key is the annotate committer's
+// canonical request target; the validity key is the pipeline's commit
 // sequence number (ExIotPipeline::commit_sequence), which advances exactly
 // when a commit's side effects become visible in the feed — so
 // invalidation is exact: an entry is served verbatim while the sequence
@@ -34,7 +34,7 @@
 
 namespace exiot::api {
 
-/// Strong ETag for the response produced at committer sequence `version`
+/// Strong ETag for the response produced at commit sequence `version`
 /// for canonical request target `key`.
 std::string response_etag(std::uint64_t version, const std::string& key);
 
@@ -50,7 +50,7 @@ class ResponseCache {
   /// Registers the cache's counters/gauges. Call before concurrent use.
   void instrument(obs::MetricsRegistry& registry);
 
-  /// The cached response for `key`, valid only at committer sequence
+  /// The cached response for `key`, valid only at commit sequence
   /// `version`. An entry cached at an older sequence is stale: it is
   /// dropped and the lookup misses, so a publish invalidates exactly the
   /// responses it could have changed.

@@ -35,7 +35,7 @@
 //   - attach_rate_limiter: per-token token buckets; a drained bucket gets
 //     429 with Retry-After (api/ratelimit.h).
 //   - attach_cache: /v1/snapshot and /v1/records responses are cached
-//     keyed by (canonical target, committer sequence) with a strong ETag;
+//     keyed by (canonical target, commit sequence) with a strong ETag;
 //     a matching If-None-Match answers 304 without touching the stores
 //     (api/cache.h). Bodies are byte-identical to the uncached handler.
 #pragma once
@@ -97,7 +97,7 @@ class ApiServer {
     watchdog_ = watchdog;
   }
 
-  /// Supplies the annotate committer's sequence number (e.g.
+  /// Supplies the pipeline's commit sequence number (e.g.
   /// [&pipe] { return pipe.commit_sequence(); }) — the validity key for
   /// cached responses and their ETags.
   using VersionFn = std::function<std::uint64_t()>;

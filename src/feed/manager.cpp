@@ -57,7 +57,7 @@ store::ObjectId FeedManager::publish(const CtiRecord& record, TimeMicros now,
   if (!was_active) active_g_->inc();
   if (traced) {
     // Tail of the record trace: the store-insert cost. Publish runs inline
-    // in the committer, so there is no queue hop to wait on.
+    // in the commit, so there is no queue hop to wait on.
     tracer_->record(*trace, obs::SpanStage::kPublish, publish_start,
                     obs::steady_micros() - publish_start, 0,
                     record.src.value());

@@ -317,7 +317,7 @@ bool looks_like_device_text(const std::string& banner) {
   // alphanumeric: the shape of product identifiers like "hg8245h" or
   // "tl-wr841n". The compiled regex is a magic static: initialized once
   // under the C++11 thread-safe-statics guarantee, then shared read-only
-  // by concurrent annotate workers (std::regex_search on a const regex is
+  // by any number of threads (std::regex_search on a const regex is
   // thread-safe).
   static const std::regex re(R"([a-z]+[-]?[a-z!]*[0-9]+[-]?[-]?[a-z0-9])",
                              std::regex::ECMAScript | std::regex::icase);

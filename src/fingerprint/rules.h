@@ -111,7 +111,7 @@ class RuleDb {
 /// contain a token shaped like a product identifier (letters + digits with
 /// optional dashes), making it worth logging for manual rule creation?
 /// Thread-safe: the compiled regex is a function-local static (magic-static
-/// init) shared read-only across concurrent annotate workers.
+/// init) shared read-only across threads.
 bool looks_like_device_text(const std::string& banner);
 
 /// Accumulates unmatched-but-promising banners (the paper dumps them to a

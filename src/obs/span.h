@@ -9,7 +9,7 @@
 //
 // Sampling is a pure function of the item's identity (`Tracer::record_key`
 // hashed against the rate), so the set of sampled records is identical for
-// any producers x shards x annotate-workers combination — and tracing never
+// any producers x shards combination — and tracing never
 // touches record content, so the feed stays byte-identical at any rate.
 // When the rate is 0, `maybe_trace` is a single branch and no span code
 // runs: the disabled tracer must not cost the hot path anything measurable
@@ -43,8 +43,8 @@ enum class SpanStage : std::uint8_t {
   kProduce = 0,   // Synthesis batch built and queued by a producer thread.
   kIngest = 1,    // Capture batch through a detector shard.
   kDetect = 2,    // Scanner detection inside a shard (record trace root).
-  kAnnotate = 3,  // Feature/score/enrich pass on an annotate worker.
-  kCommit = 4,    // Ordered commit through the reorder window.
+  kAnnotate = 3,  // Feature/score/enrich pass over one record.
+  kCommit = 4,    // WAL append + feed side effects of one record.
   kPublish = 5,   // Feed store insert + active-cache registration.
 };
 constexpr int kSpanStageCount = 6;

@@ -1,14 +1,13 @@
-// The durability layer: makes the feed crash-safe by logging the annotate
-// stage's ordered commit stream to a write-ahead log and periodically
+// The durability layer: makes the feed crash-safe by logging the
+// pipeline's ordered commit stream to a write-ahead log and periodically
 // compacting it into snapshots.
 //
-// The commit stream IS the WAL. Every state mutation flows through the
-// annotate stage's committer in a deterministic, totally ordered sequence:
+// The commit stream IS the WAL. Every state mutation is a commit the
+// pipeline driver makes in a deterministic, totally ordered sequence:
 // publications (which carry the trainer example and trigger notifications),
-// END_FLOW mark-ended ops, and the hour-end boundary (retrain + expiry,
-// appended by the driver between drain() barriers). Each commit is framed
-// and appended to the WAL *before* its side effects run, so the log always
-// dominates the in-memory state.
+// END_FLOW mark-ended ops, and the hour-end boundary (retrain + expiry).
+// Each commit is framed and appended to the WAL *before* its side effects
+// run, so the log always dominates the in-memory state.
 //
 // Recovery = snapshot + WAL tail + deterministic re-run:
 //   1. Load the newest valid snapshot and restore FeedManager /
@@ -34,8 +33,9 @@
 #include "common/result.h"
 #include "feed/manager.h"
 #include "feed/notify.h"
+#include "ml/features.h"
 #include "obs/metrics.h"
-#include "pipeline/annotate.h"
+#include "obs/span.h"
 #include "pipeline/update_classifier.h"
 #include "store/snapshot.h"
 #include "store/wal.h"
@@ -47,6 +47,19 @@ enum class WalRecordType : std::uint8_t {
                    // notification, all derived from this payload.
   kMarkEnded = 2,  // END_FLOW for an already-published record.
   kHourEnd = 3,    // Hour boundary: retrain attempt + historical expiry.
+};
+
+/// One annotated record, ready to commit: the publish payload of the WAL.
+struct AnnotateResult {
+  feed::CtiRecord record;
+  ml::FeatureVector features;
+  int training_label = -1;        // 1 / 0 feed the trainer; -1 = none.
+  TimeMicros annotate_start = 0;  // max(probe done, sample ready).
+  TimeMicros published = 0;
+  bool ended = false;
+  TimeMicros end_ts = 0;
+  /// The record's trace, handed to feed publish; never serialized.
+  obs::TraceContext trace;
 };
 
 struct DurabilityConfig {
@@ -101,11 +114,11 @@ class Durability {
   /// the caller should disable durability rather than risk divergence.
   Result<RecoveryInfo> recover();
 
-  /// Commit-side logging, called in exact commit order (committer thread,
-  /// or the driver between drain() barriers). Returns true when the caller
-  /// should run the commit's side effects; false when this commit index is
-  /// already covered by the recovered state (deterministic re-run after a
-  /// restart) and must be skipped.
+  /// Commit-side logging, called by the pipeline driver in exact commit
+  /// order. Returns true when the caller should run the commit's side
+  /// effects; false when this commit index is already covered by the
+  /// recovered state (deterministic re-run after a restart) and must be
+  /// skipped.
   bool log_publish(const AnnotateResult& result);
   bool log_mark_ended(Ipv4 src, TimeMicros scan_end, TimeMicros at);
   bool log_hour_end(std::int64_t hour, TimeMicros processing_end);

@@ -125,11 +125,14 @@ ExIotPipeline::ExIotPipeline(const inet::Population& population,
                       return;
                     }
                     // The record already left the pipeline: the END_FLOW
-                    // enters the annotate stage's commit log so the feed
-                    // mutation lands in submit order relative to every
-                    // in-flight publication.
-                    annotate_.submit_mark_ended(summary.src,
-                                                summary.last_seen, at);
+                    // is a commit of its own, logged before it applies.
+                    if (durability_ == nullptr ||
+                        durability_->log_mark_ended(summary.src,
+                                                    summary.last_seen, at)) {
+                      (void)feed_.mark_ended(summary.src, summary.last_seen,
+                                             at);
+                    }
+                    commit_seq_.fetch_add(1, std::memory_order_release);
                   },
               .on_report =
                   [this](const flow::SecondReport& report) {
@@ -149,29 +152,7 @@ ExIotPipeline::ExIotPipeline(const inet::Population& population,
       }),
       federation_(FederationConfig{config.telescope, config.num_sites,
                                    config.active_sites, config.site_specs},
-                  &metrics_),
-      annotate_(
-          AnnotateStageConfig{config.num_annotate_workers,
-                              config.annotate_queue_capacity},
-          [this](const AnnotateJob& job) { return annotate_job(job); },
-          // Commit callbacks run on the committer thread in submit order;
-          // the durability layer appends each commit to the WAL before its
-          // side effects (and suppresses commits a recovery already
-          // applied — the deterministic re-run after a restart).
-          [this](AnnotateResult& result) {
-            if (durability_ != nullptr && !durability_->log_publish(result)) {
-              return;
-            }
-            commit_annotated(result);
-          },
-          [this](Ipv4 src, TimeMicros scan_end, TimeMicros at) {
-            if (durability_ != nullptr &&
-                !durability_->log_mark_ended(src, scan_end, at)) {
-              return;
-            }
-            (void)feed_.mark_ended(src, scan_end, at);
-          },
-          &metrics_, &tracer_, watchdog_.get()) {
+                  &metrics_) {
   if (watchdog_ != nullptr) watchdog_->start();
   const std::string detector_help =
       "Flow-detector events, scraped hourly from the CAIDA side.";
@@ -198,6 +179,9 @@ ExIotPipeline::ExIotPipeline(const inet::Population& population,
   inst_.pending = &metrics_.gauge(
       "exiot_pipeline_pending_records",
       "Records awaiting a probe outcome or organized sample.");
+  inst_.annotated = &metrics_.counter(
+      "exiot_annotate_records_total",
+      "Records annotated and committed to the feed.");
   inst_.annotate_h = &metrics_.histogram(
       "exiot_annotate_latency_seconds",
       "Virtual time from probe/sample completion to publication "
@@ -275,41 +259,50 @@ void ExIotPipeline::try_publish(PendingRecord& pending) {
 }
 
 void ExIotPipeline::publish_record(PendingRecord& pending) {
-  AnnotateJob job;
-  job.summary = pending.summary;
-  job.probe = std::move(*pending.probe);
-  job.bundle = std::move(*pending.bundle);
-  job.sample_ready_at = pending.sample_ready_at;
-  job.ended = pending.ended;
-  job.end_ts = pending.end_ts;
-  // Attribution is copied here, on the driver thread, so annotate workers
-  // never read the federation ledger concurrently with a demux pass.
-  job.sightings = federation_.sightings_of(pending.summary.src);
-  job.trace = pending.trace;
-  const std::uint32_t key = pending.summary.src.value();
-  annotate_.submit(std::move(job));
-  pending_.erase(key);
+  // Spans split annotate from commit; nothing queues between them, so
+  // their queue waits are zero.
+  const bool traced = pending.trace.sampled();
+  const std::uint64_t t0 = traced ? obs::steady_micros() : 0;
+  AnnotateResult result = annotate(pending);
+  const std::uint64_t t1 = traced ? obs::steady_micros() : 0;
+  // The WAL append precedes the side effects; durability suppresses the
+  // commits a recovery already applied (the re-run after a restart).
+  if (durability_ == nullptr || durability_->log_publish(result)) {
+    commit_annotated(result);
+  }
+  if (traced) {
+    const std::uint64_t t2 = obs::steady_micros();
+    const std::uint32_t src = result.record.src.value();
+    tracer_.record(pending.trace, obs::SpanStage::kAnnotate, t0, t1 - t0, 0,
+                   src);
+    tracer_.record(pending.trace, obs::SpanStage::kCommit, t1, t2 - t1, 0,
+                   src);
+  }
+  commit_seq_.fetch_add(1, std::memory_order_release);
+  inst_.annotated->inc();
+  pending_.erase(pending.summary.src.value());
 }
 
-AnnotateResult ExIotPipeline::annotate_job(const AnnotateJob& job) const {
-  const ProbeOutcome& probe = job.probe;
-  const ScannerBundle& bundle = job.bundle;
+AnnotateResult ExIotPipeline::annotate(const PendingRecord& pending) const {
+  const ProbeOutcome& probe = *pending.probe;
+  const ScannerBundle& bundle = *pending.bundle;
 
   AnnotateResult out;
-  out.annotate_start = std::max(probe.completed_at, job.sample_ready_at);
+  out.annotate_start = std::max(probe.completed_at, pending.sample_ready_at);
   out.published = out.annotate_start + kAnnotateLatency;
   out.training_label = probe.training_label;
-  out.ended = job.ended;
-  out.end_ts = job.end_ts;
+  out.ended = pending.ended;
+  out.end_ts = pending.end_ts;
+  out.trace = pending.trace;
   const TimeMicros published = out.published;
 
   // Feature extraction over the sampled flow.
   out.features = ml::flow_features(bundle.sample);
 
   feed::CtiRecord& record = out.record;
-  record.src = job.summary.src;
-  record.scan_start = job.summary.first_seen;
-  record.detect_time = job.summary.detect_time;
+  record.src = pending.summary.src;
+  record.scan_start = pending.summary.first_seen;
+  record.detect_time = pending.summary.detect_time;
   record.published_at = published;
   record.banner_returned = probe.banner_returned;
 
@@ -377,10 +370,10 @@ AnnotateResult ExIotPipeline::annotate_job(const AnnotateJob& job) const {
   record.address_repetition = flow_stats.address_repetition_ratio;
   record.targeted_ports = flow_stats.port_distribution;
 
-  record.active = !job.ended;
-  record.scan_end = job.ended ? job.end_ts : 0;
+  record.active = !pending.ended;
+  record.scan_end = pending.ended ? pending.end_ts : 0;
   // In-memory vantage metadata; never serialized (see feed/record.h).
-  record.sightings = job.sightings;
+  record.sightings = federation_.sightings_of(record.src);
   return out;
 }
 
@@ -424,14 +417,10 @@ void ExIotPipeline::run_hours(std::int64_t first_hour,
     const TimeMicros processing_end =
         config_.collection.file_ready_time(hour) + kProcessingPerHour;
     handle_probe_outcomes(scan_module_.tick(processing_end));
-    // Barrier: retraining reallocates the deployed-model registry the
-    // annotate workers read, and expiry/scrapes read committer-side state.
-    annotate_.drain();
     flight_.record("stage",
                    "hour " + std::to_string(hour) + " drained");
-    // The hour boundary is a WAL commit like any publish: the drain
-    // barrier above means no committer activity races the driver-side
-    // append, and recovery replays (or suppression skips) it in order.
+    // The hour boundary is a WAL commit like any publish; recovery replays
+    // (or suppression skips) it in order.
     if (durability_ == nullptr ||
         durability_->log_hour_end(hour, processing_end)) {
       apply_hour_end(processing_end);
@@ -491,7 +480,6 @@ void ExIotPipeline::finish() {
       pending_.erase(it);
     }
   }
-  annotate_.drain();
   if (durability_ != nullptr) durability_->finish();
   scrape_detector();
   inst_.pending->set(static_cast<double>(pending_.size()));

@@ -15,6 +15,7 @@
 // experiment (§V-B) measures.
 #pragma once
 
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <memory>
@@ -31,7 +32,6 @@
 #include "obs/metrics.h"
 #include "obs/span.h"
 #include "obs/watchdog.h"
-#include "pipeline/annotate.h"
 #include "pipeline/durability.h"
 #include "pipeline/federation.h"
 #include "pipeline/ingest.h"
@@ -77,13 +77,6 @@ struct PipelineConfig {
   std::size_t producer_batch_size = 1024;
   /// Capacity of each producer queue, in batches.
   std::size_t producer_queue_capacity = 8;
-  /// Annotate-stage workers (feature extraction, model scoring, tool
-  /// fingerprinting, enrichment); 1 keeps the stage serial. Results commit
-  /// through a reorder buffer in submit order, so the feed output is
-  /// byte-identical for any value (see pipeline/annotate.h).
-  int num_annotate_workers = 1;
-  /// Capacity of the annotate job queue, in records.
-  std::size_t annotate_queue_capacity = 256;
   /// Fraction of records / batches span-traced end to end (0 disables
   /// tracing entirely; 1 traces everything). Sampling is deterministic in
   /// the record identity, so any rate keeps the feed byte-identical.
@@ -136,10 +129,13 @@ class ExIotPipeline {
 
   feed::FeedManager& feed() { return feed_; }
   const feed::FeedManager& feed() const { return feed_; }
-  /// The annotate committer's sequence number: advances exactly when a
-  /// commit's side effects become visible in the feed. Lock-free; the API
-  /// response cache keys validity on it (api/cache.h).
-  std::uint64_t commit_sequence() const { return annotate_.commit_sequence(); }
+  /// Publish and mark-ended commits so far: advances exactly when a
+  /// commit's side effects become visible in the feed (commits a recovery
+  /// re-run suppresses count too). Lock-free; the API response cache keys
+  /// validity on it (api/cache.h).
+  std::uint64_t commit_sequence() const {
+    return commit_seq_.load(std::memory_order_acquire);
+  }
   feed::NotificationEngine& notifications() { return notifications_; }
   /// Emails generated by the notification engine (simulated SMTP sink).
   const std::vector<feed::EmailMessage>& outbox() const { return outbox_; }
@@ -200,15 +196,16 @@ class ExIotPipeline {
 
   void handle_probe_outcomes(std::vector<ProbeOutcome> outcomes);
   void try_publish(PendingRecord& pending);
-  /// Hands a completed pending record to the annotate stage.
+  /// Annotates a completed pending record and commits it (WAL append,
+  /// then side effects) on the calling thread, then retires it.
   void publish_record(PendingRecord& pending);
-  /// Worker-side annotation: pure computation over the job plus reads of
-  /// state frozen between drain() barriers (model registry, enrichment).
-  AnnotateResult annotate_job(const AnnotateJob& job) const;
-  /// Committer-side publication, strictly in submit order: trainer
-  /// example, feed publish, mark-ended, notification. Shared verbatim with
-  /// WAL replay (Durability's apply_publish hook), so recovery cannot
-  /// drift from the live commit path.
+  /// Feature extraction, classification, tool fingerprinting, enrichment
+  /// and flow statistics: a pure function of the record and the state at
+  /// its publication time.
+  AnnotateResult annotate(const PendingRecord& pending) const;
+  /// Publication side effects: trainer example, feed publish, mark-ended,
+  /// notification. Shared verbatim with WAL replay (Durability's
+  /// apply_publish hook), so recovery cannot drift from the live path.
   void commit_annotated(AnnotateResult& result);
   /// Hour-boundary state mutation (retrain attempt + historical expiry);
   /// a WAL commit like any other, shared with replay.
@@ -218,7 +215,7 @@ class ExIotPipeline {
   void scrape_detector();
 
   /// Registry-backed instruments owned by the pipeline itself (stages own
-  /// their own; these cover the detector scrape and the annotate stage).
+  /// their own; these cover the detector scrape and annotation).
   struct StageInstruments {
     obs::Counter* packets = nullptr;
     obs::Counter* backscatter = nullptr;
@@ -230,6 +227,7 @@ class ExIotPipeline {
     obs::Counter* reports = nullptr;
     obs::Counter* pending_clobbered = nullptr;
     obs::Gauge* pending = nullptr;
+    obs::Counter* annotated = nullptr;     // exiot_annotate_records_total.
     obs::Histogram* annotate_h = nullptr;  // exiot_annotate_latency_seconds.
   };
 
@@ -254,15 +252,12 @@ class ExIotPipeline {
   feed::NotificationEngine notifications_;
   FederationStage federation_;
   ReportStore reports_;
-  /// Declared after the feed/trainer/outbox state it snapshots and before
-  /// annotate_, whose committer thread calls into it; constructed (and
-  /// recovery run) in the constructor body, after the commit hooks'
-  /// targets are fully wired.
+  /// Declared after the feed/trainer/outbox state it snapshots;
+  /// constructed (and recovery run) in the constructor body, after the
+  /// commit hooks' targets are fully wired.
   std::unique_ptr<Durability> durability_;
   std::string recovery_error_;
-  /// Declared after the feed/trainer/notification sinks its callbacks
-  /// touch, so its threads stop before any of them is destroyed.
-  AnnotateStage annotate_;
+  std::atomic<std::uint64_t> commit_seq_{0};
   StageInstruments inst_;
   flow::DetectorStats scraped_;  // Detector counters already folded in.
 

@@ -84,7 +84,7 @@ std::size_t FederationStage::run_window(const BatchSource& source,
       }
       ++site_counts_[site];
       sightings_.record(pkt.src.value(), static_cast<std::uint32_t>(site),
-                        pkt.ts, pkt.ts + sites_[site].clock_skew);
+                        pkt.ts);
       if (filtering) out_.push_back(pkt);
     }
     for (std::size_t s = 0; s < site_counts_.size(); ++s) {
@@ -122,7 +122,7 @@ std::vector<feed::SensorSighting> FederationStage::sightings_of(
     sighting.sensor = sites_[s.site].name;
     sighting.aperture = sites_[s.site].aperture.to_string();
     sighting.first_seen = s.first_seen;
-    sighting.local_first_seen = s.local_first_seen;
+    sighting.local_first_seen = s.first_seen + sites_[s.site].clock_skew;
     sighting.packets = s.packets;
     out.push_back(std::move(sighting));
   }

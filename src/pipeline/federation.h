@@ -13,11 +13,12 @@
 // the canonical stream, so the forwarded feed is byte-identical for any
 // site count — whatever the input order, including replayed captures
 // whose timestamps step back — and the federation determinism matrix
-// (tests/federation_test.cpp) asserts it against the producers x shards x
-// annotate-workers grid.
+// (tests/federation_test.cpp) asserts it against the producers x shards
+// grid.
 //
 // Clock skew: a site's local timestamp is canonical + skew. Skew colors
-// the per-sensor attribution (local_first_seen) but never the stream
+// the per-sensor attribution (local_first_seen, derived from the ledger's
+// canonical first_seen when a record is attributed) but never the stream
 // order, so the feed is skew-invariant.
 //
 // Detector events (SCANNER / SAMPLE / END_FLOW) ship to the aggregator

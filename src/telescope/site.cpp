@@ -29,7 +29,6 @@ void SightingTable::reset(std::size_t num_sites) {
   size_ = 0;
   multi_sensor_sources_ = 0;
   first_seen_.clear();
-  local_first_seen_.clear();
   packets_.clear();
   sites_seen_.clear();
 }
@@ -66,7 +65,7 @@ std::uint32_t SightingTable::find_row(std::uint32_t src) const {
 }
 
 void SightingTable::record(std::uint32_t src, std::uint32_t site,
-                           TimeMicros ts, TimeMicros local_ts) {
+                           TimeMicros ts) {
   if (size_ * 4 >= capacity() * 3) grow();
   const std::size_t mask = capacity() - 1;
   std::size_t i = hash(src) & mask;
@@ -77,14 +76,12 @@ void SightingTable::record(std::uint32_t src, std::uint32_t site,
     rows_[i] = static_cast<std::uint32_t>(size_);
     ++size_;
     first_seen_.resize(size_ * num_sites_, kNever);
-    local_first_seen_.resize(size_ * num_sites_, kNever);
     packets_.resize(size_ * num_sites_, 0);
     sites_seen_.push_back(0);
   }
   const std::size_t base = std::size_t{rows_[i]} * num_sites_ + site;
   if (first_seen_[base] == kNever) {
     first_seen_[base] = ts;
-    local_first_seen_[base] = local_ts;
     if (++sites_seen_[rows_[i]] == 2) ++multi_sensor_sources_;
   }
   ++packets_[base];
@@ -99,9 +96,7 @@ std::vector<SightingTable::Sighting> SightingTable::sightings_of(
   for (std::size_t s = 0; s < num_sites_; ++s) {
     if (first_seen_[base + s] == kNever) continue;
     out.push_back(Sighting{static_cast<std::uint32_t>(s),
-                           first_seen_[base + s],
-                           local_first_seen_[base + s],
-                           packets_[base + s]});
+                           first_seen_[base + s], packets_[base + s]});
   }
   return out;
 }

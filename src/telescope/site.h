@@ -45,7 +45,7 @@ std::vector<Cidr> partition_aperture(Cidr telescope, int n);
 constexpr bool is_power_of_two(int n) { return n > 0 && (n & (n - 1)) == 0; }
 
 /// Per-source, per-sensor sighting ledger: which sites saw a scanner, when
-/// each first saw it (canonical and site-local clock), and how many of its
+/// each first saw it (canonical clock), and how many of its
 /// packets each aperture captured. Open-addressing table keyed by source
 /// address (same Fibonacci-hash scheme as flow::SourceTable); per-source
 /// data lives in flat stride-N arrays indexed by a stable row id, so
@@ -61,16 +61,14 @@ class SightingTable {
   void reset(std::size_t num_sites);
 
   /// Records one packet from `src` captured by `site` at canonical time
-  /// `ts` (the site's own clock read `ts + skew`; the caller passes it as
-  /// `local_ts` so the ledger carries both).
-  void record(std::uint32_t src, std::uint32_t site, TimeMicros ts,
-              TimeMicros local_ts);
+  /// `ts`. The site's own clock read `ts + skew`; the skew is a per-site
+  /// constant, so the ledger keeps only the canonical time.
+  void record(std::uint32_t src, std::uint32_t site, TimeMicros ts);
 
   /// One sensor's view of one source.
   struct Sighting {
     std::uint32_t site = 0;
-    TimeMicros first_seen = kNever;        // Canonical clock.
-    TimeMicros local_first_seen = kNever;  // Site clock (canonical + skew).
+    TimeMicros first_seen = kNever;  // Canonical clock.
     std::uint64_t packets = 0;
   };
 
@@ -109,7 +107,6 @@ class SightingTable {
   std::uint64_t multi_sensor_sources_ = 0;
   // Stride-num_sites_ flat arrays indexed by row id * num_sites_ + site.
   std::vector<TimeMicros> first_seen_;
-  std::vector<TimeMicros> local_first_seen_;
   std::vector<std::uint64_t> packets_;
   std::vector<std::uint8_t> sites_seen_;  // Per row: distinct sensor count.
 };

@@ -1,181 +1,22 @@
-// Tests for the parallel annotate/classify/publish stage: the reorder
-// buffer's ordered-commit guarantee (unit level, with crafted completion
-// delays), shutdown with records in flight, and the pipeline-level
-// determinism matrix — feed export, email outbox, and API responses must
-// be byte-identical for any annotate-workers x producers x shards
-// combination.
+// Tests for annotation and commit on the pipeline's calling thread: the
+// determinism matrix (feed export, email outbox and API responses must be
+// byte-identical for any producers x shards x batch-size combination),
+// the annotate metrics, the commit sequence the API cache keys on, and
+// teardown mid-run.
 #include <gtest/gtest.h>
 
-#include <chrono>
+#include <filesystem>
 #include <sstream>
-#include <thread>
+#include <tuple>
 #include <vector>
 
 #include "api/server.h"
 #include "feed/export.h"
 #include "inet/population.h"
-#include "pipeline/annotate.h"
 #include "pipeline/exiot.h"
 
 namespace exiot::pipeline {
 namespace {
-
-// ------------------------------------------------------ Reorder commit ----
-
-/// A job tagged with `index`; `sleep_ms` shapes the completion order.
-AnnotateJob tagged_job(int index, int sleep_ms) {
-  AnnotateJob job;
-  job.summary.src = Ipv4(10, 0, static_cast<std::uint8_t>(index >> 8),
-                         static_cast<std::uint8_t>(index & 0xff));
-  job.sample_ready_at = sleep_ms;
-  return job;
-}
-
-/// Annotator that sleeps for the job's crafted delay, then echoes the tag.
-AnnotateStage::Annotator delayed_annotator() {
-  return [](const AnnotateJob& job) {
-    std::this_thread::sleep_for(
-        std::chrono::milliseconds(job.sample_ready_at));
-    AnnotateResult result;
-    result.record.src = job.summary.src;
-    return result;
-  };
-}
-
-struct CommitLog {
-  std::vector<std::string> entries;  // "R <ip>" or "E <ip>".
-  AnnotateStage::CommitFn commit() {
-    return [this](AnnotateResult& result) {
-      entries.push_back("R " + result.record.src.to_string());
-    };
-  }
-  AnnotateStage::MarkEndedFn mark_ended() {
-    return [this](Ipv4 src, TimeMicros, TimeMicros) {
-      entries.push_back("E " + src.to_string());
-    };
-  }
-};
-
-TEST(AnnotateStageTest, CommitsInSubmitOrderDespiteOutOfOrderCompletion) {
-  CommitLog log;
-  AnnotateStage stage({.num_workers = 4, .queue_capacity = 32},
-                      delayed_annotator(), log.commit(), log.mark_ended());
-  ASSERT_TRUE(stage.parallel());
-  // The first job is the slowest: every later job completes before it, so
-  // all of them park in the reorder window until the head is ready.
-  stage.submit(tagged_job(0, 60));
-  for (int i = 1; i < 12; ++i) stage.submit(tagged_job(i, 0));
-  stage.drain();
-  ASSERT_EQ(log.entries.size(), 12u);
-  for (int i = 0; i < 12; ++i) {
-    EXPECT_EQ(log.entries[static_cast<std::size_t>(i)],
-              "R " + tagged_job(i, 0).summary.src.to_string());
-  }
-  EXPECT_EQ(stage.submitted(), 12u);
-  EXPECT_EQ(stage.committed(), 12u);
-  // Head-of-line blocking was real: the committer recorded stall time.
-  EXPECT_GT(stage.reorder_stall_micros(), 0u);
-}
-
-TEST(AnnotateStageTest, CommitSequenceMirrorsCommittedOnEveryPath) {
-  // The lock-free commit_sequence mirror is what keys the API response
-  // cache; it must advance exactly once per commit on both the serial
-  // submit path and the parallel committer loop.
-  CommitLog serial_log;
-  AnnotateStage serial({.num_workers = 1, .queue_capacity = 4},
-                       delayed_annotator(), serial_log.commit(),
-                       serial_log.mark_ended());
-  EXPECT_EQ(serial.commit_sequence(), 0u);
-  serial.submit(tagged_job(1, 0));
-  EXPECT_EQ(serial.commit_sequence(), 1u);
-  serial.submit_mark_ended(Ipv4(192, 0, 2, 9), seconds(1), seconds(2));
-  EXPECT_EQ(serial.commit_sequence(), 2u);
-  serial.drain();
-  EXPECT_EQ(serial.commit_sequence(), serial.committed());
-
-  CommitLog parallel_log;
-  AnnotateStage parallel({.num_workers = 4, .queue_capacity = 16},
-                         delayed_annotator(), parallel_log.commit(),
-                         parallel_log.mark_ended());
-  for (int i = 0; i < 10; ++i) parallel.submit(tagged_job(i, 0));
-  parallel.drain();
-  EXPECT_EQ(parallel.commit_sequence(), 10u);
-  EXPECT_EQ(parallel.commit_sequence(), parallel.committed());
-}
-
-TEST(AnnotateStageTest, MarkEndedSequencesWithRecords) {
-  CommitLog log;
-  AnnotateStage stage({.num_workers = 2, .queue_capacity = 8},
-                      delayed_annotator(), log.commit(), log.mark_ended());
-  // END_FLOW submitted between two records must commit between them, even
-  // though it is born ready and the first record is still annotating.
-  stage.submit(tagged_job(1, 40));
-  stage.submit_mark_ended(Ipv4(192, 0, 2, 9), seconds(5), seconds(6));
-  stage.submit(tagged_job(2, 0));
-  stage.drain();
-  ASSERT_EQ(log.entries.size(), 3u);
-  EXPECT_EQ(log.entries[0], "R 10.0.0.1");
-  EXPECT_EQ(log.entries[1], "E 192.0.2.9");
-  EXPECT_EQ(log.entries[2], "R 10.0.0.2");
-}
-
-TEST(AnnotateStageTest, ShutdownCommitsRecordsInFlight) {
-  // Stop with jobs queued and annotating: shutdown must drain the queue,
-  // finish the window, and commit everything — no record is lost.
-  CommitLog log;
-  AnnotateStage stage({.num_workers = 4, .queue_capacity = 4},
-                      delayed_annotator(), log.commit(), log.mark_ended());
-  for (int i = 0; i < 24; ++i) stage.submit(tagged_job(i, i % 3));
-  stage.shutdown();  // No drain() first.
-  EXPECT_EQ(stage.committed(), 24u);
-  ASSERT_EQ(log.entries.size(), 24u);
-  for (int i = 0; i < 24; ++i) {
-    EXPECT_EQ(log.entries[static_cast<std::size_t>(i)],
-              "R " + tagged_job(i, 0).summary.src.to_string());
-  }
-  // Post-shutdown submissions fall back to the inline serial path.
-  stage.submit(tagged_job(99, 0));
-  EXPECT_EQ(log.entries.back(), "R " + tagged_job(99, 0).summary.src.to_string());
-}
-
-TEST(AnnotateStageTest, SerialModeCommitsInline) {
-  CommitLog log;
-  AnnotateStage stage({.num_workers = 1, .queue_capacity = 4},
-                      delayed_annotator(), log.commit(), log.mark_ended());
-  EXPECT_FALSE(stage.parallel());
-  stage.submit(tagged_job(7, 0));
-  // No drain: serial submissions are committed before submit returns.
-  ASSERT_EQ(log.entries.size(), 1u);
-  EXPECT_EQ(log.entries[0], "R 10.0.0.7");
-  stage.submit_mark_ended(Ipv4(192, 0, 2, 1), 0, 0);
-  EXPECT_EQ(log.entries.back(), "E 192.0.2.1");
-  EXPECT_EQ(stage.committed(), 2u);
-}
-
-TEST(AnnotateStageTest, StageMetricsExposeProgress) {
-  obs::MetricsRegistry registry;
-  CommitLog log;
-  AnnotateStage stage({.num_workers = 2, .queue_capacity = 8},
-                      delayed_annotator(), log.commit(), log.mark_ended(),
-                      &registry);
-  stage.submit(tagged_job(0, 30));
-  for (int i = 1; i < 6; ++i) stage.submit(tagged_job(i, 0));
-  stage.drain();
-  EXPECT_EQ(registry.counter_value("exiot_annotate_records_total"), 6u);
-  EXPECT_EQ(registry.gauge_value("exiot_annotate_inflight"), 0.0);
-  EXPECT_EQ(registry.gauge_value("exiot_annotate_workers"), 2.0);
-  // Later jobs finished while job 0 slept.
-  EXPECT_GT(registry.counter_value("exiot_annotate_out_of_order_total"), 0u);
-  EXPECT_GT(
-      registry.counter_value("exiot_annotate_reorder_stall_micros_total"),
-      0u);
-  std::uint64_t busy = 0;
-  for (int w = 0; w < 2; ++w) {
-    busy += registry.counter_value("exiot_annotate_worker_busy_micros_total",
-                                   {{"worker", std::to_string(w)}});
-  }
-  EXPECT_GT(busy, 0u);
-}
 
 // ------------------------------------------------ Determinism matrix ----
 
@@ -191,10 +32,8 @@ struct RunOutput {
   std::uint64_t noniot_records = 0;
 };
 
-/// Full pipeline run over the small deterministic population; returns
-/// every externally visible artifact for byte comparison.
-RunOutput run_pipeline(int annotate_workers, int producers, int shards,
-                       int batch_size = 512) {
+/// The small deterministic population every run here uses.
+inet::PopulationConfig small_population() {
   inet::PopulationConfig config;
   config.iot_per_day = 30;
   config.generic_per_day = 20;
@@ -203,16 +42,20 @@ RunOutput run_pipeline(int annotate_workers, int producers, int shards,
   config.benign_per_day = 2;
   config.days = 1;
   config.seed = 42;
+  return config;
+}
+
+/// Full pipeline run over the small deterministic population; returns
+/// every externally visible artifact for byte comparison.
+RunOutput run_pipeline(int producers, int shards, int batch_size = 512) {
   auto world = inet::WorldModel::standard(Cidr(Ipv4(44, 0, 0, 0), 8));
-  auto population = inet::Population::generate(config, world);
+  auto population = inet::Population::generate(small_population(), world);
   PipelineConfig pipe_config;
   pipe_config.num_detector_shards = shards;
   pipe_config.num_producer_threads = producers;
   pipe_config.buffer_capacity = 8;
   pipe_config.ingest_batch_size = 64;
-  pipe_config.num_annotate_workers = annotate_workers;
   pipe_config.decode_batch_size = static_cast<std::size_t>(batch_size);
-  pipe_config.annotate_queue_capacity = 8;  // Small: back-pressure on submit.
   ExIotPipeline pipe(population, world, pipe_config);
   pipe.run_days(0, 1);
   pipe.finish();
@@ -251,26 +94,25 @@ RunOutput run_pipeline(int annotate_workers, int producers, int shards,
 }
 
 TEST(AnnotateDeterminismTest, OutputInvariantAcrossWorkerMatrix) {
-  const RunOutput baseline = run_pipeline(1, 1, 1);
+  const RunOutput baseline = run_pipeline(1, 1);
   EXPECT_GT(baseline.records_published, 0u);
   EXPECT_FALSE(baseline.outbox.empty());
-  // Workers x producers x shards x decode batch size: every externally
-  // visible artifact — feed export, outbox, and API bodies — must be
+  // Producers x shards x decode batch size: every externally visible
+  // artifact — feed export, outbox, and API bodies — must be
   // byte-identical to the fully serial run. The batch dimension pins the
   // batch hot path: batching is an execution detail, never a semantic one.
-  for (const auto& [workers, producers, shards, batch] :
-       {std::tuple{1, 2, 2, 512}, std::tuple{2, 2, 2, 512},
-        std::tuple{4, 2, 2, 64}, std::tuple{8, 2, 2, 1024},
-        std::tuple{1, 1, 1, 1}, std::tuple{2, 2, 2, 1}}) {
-    const RunOutput run = run_pipeline(workers, producers, shards, batch);
-    EXPECT_EQ(baseline.feed, run.feed)
-        << "workers=" << workers << " producers=" << producers
-        << " shards=" << shards << " batch=" << batch;
-    EXPECT_EQ(baseline.outbox, run.outbox) << "workers=" << workers;
-    EXPECT_EQ(baseline.records_api, run.records_api)
-        << "workers=" << workers;
-    EXPECT_EQ(baseline.snapshot_api, run.snapshot_api)
-        << "workers=" << workers;
+  for (const auto& [producers, shards, batch] :
+       {std::tuple{2, 2, 512}, std::tuple{2, 2, 64}, std::tuple{2, 2, 1024},
+        std::tuple{1, 1, 1}, std::tuple{2, 2, 1}, std::tuple{4, 1, 512},
+        std::tuple{1, 4, 512}}) {
+    const RunOutput run = run_pipeline(producers, shards, batch);
+    const std::string where = "producers=" + std::to_string(producers) +
+                              " shards=" + std::to_string(shards) +
+                              " batch=" + std::to_string(batch);
+    EXPECT_EQ(baseline.feed, run.feed) << where;
+    EXPECT_EQ(baseline.outbox, run.outbox) << where;
+    EXPECT_EQ(baseline.records_api, run.records_api) << where;
+    EXPECT_EQ(baseline.snapshot_api, run.snapshot_api) << where;
     EXPECT_EQ(baseline.records_published, run.records_published);
     EXPECT_EQ(baseline.labeled_examples, run.labeled_examples);
     EXPECT_EQ(baseline.records_ended, run.records_ended);
@@ -290,18 +132,15 @@ TEST(AnnotateDeterminismTest, ParallelRunReportsStageMetrics) {
   config.seed = 7;
   auto world = inet::WorldModel::standard(Cidr(Ipv4(44, 0, 0, 0), 8));
   auto population = inet::Population::generate(config, world);
-  PipelineConfig pipe_config;
-  pipe_config.num_annotate_workers = 4;
-  ExIotPipeline pipe(population, world, pipe_config);
+  ExIotPipeline pipe(population, world, PipelineConfig{});
   pipe.run_days(0, 1);
   pipe.finish();
   const std::uint64_t published =
       pipe.metrics().counter_value("exiot_feed_records_published_total");
+  EXPECT_GT(published, 0u);
   EXPECT_EQ(pipe.metrics().counter_value("exiot_annotate_records_total"),
             published);
-  EXPECT_EQ(pipe.metrics().gauge_value("exiot_annotate_inflight"), 0.0);
-  EXPECT_EQ(pipe.metrics().gauge_value("exiot_annotate_workers"), 4.0);
-  // The latency histogram (observed at commit) still covers every record.
+  // The latency histogram (observed at commit) covers every record.
   const obs::Histogram* h =
       pipe.metrics().find_histogram("exiot_annotate_latency_seconds");
   ASSERT_NE(h, nullptr);
@@ -310,8 +149,7 @@ TEST(AnnotateDeterminismTest, ParallelRunReportsStageMetrics) {
 
 TEST(AnnotateDeterminismTest, MidRunDestructionShutsDownCleanly) {
   // Destroying the pipeline without finish() — an aborted deployment —
-  // must stop the annotate workers without deadlock or loss of committed
-  // state (the destructor drains in-flight records before teardown).
+  // must stop the producer and detector threads without deadlock.
   inet::PopulationConfig config;
   config.iot_per_day = 20;
   config.generic_per_day = 10;
@@ -323,13 +161,53 @@ TEST(AnnotateDeterminismTest, MidRunDestructionShutsDownCleanly) {
   auto world = inet::WorldModel::standard(Cidr(Ipv4(44, 0, 0, 0), 8));
   auto population = inet::Population::generate(config, world);
   PipelineConfig pipe_config;
-  pipe_config.num_annotate_workers = 4;
-  pipe_config.annotate_queue_capacity = 4;
+  pipe_config.num_producer_threads = 2;
+  pipe_config.num_detector_shards = 2;
   {
     ExIotPipeline pipe(population, world, pipe_config);
     pipe.run_hours(0, 3);  // No finish(): probes still batched in flight.
   }
   SUCCEED();
+}
+
+TEST(AnnotateCommitTest, CommitSequenceCountsPublishAndMarkEndedCommits) {
+  // commit_sequence() keys the API response cache. It advances once per
+  // publish or mark-ended commit, as soon as the commit lands; the WAL
+  // counts the same commits plus one hour-end commit per hour.
+  const std::filesystem::path dir =
+      std::filesystem::path(::testing::TempDir()) / "annotate_commit_seq";
+  std::filesystem::remove_all(dir);
+  auto world = inet::WorldModel::standard(Cidr(Ipv4(44, 0, 0, 0), 8));
+  auto population = inet::Population::generate(small_population(), world);
+  PipelineConfig pipe_config;
+  pipe_config.data_dir = dir;
+  constexpr std::int64_t kHours = 24;
+  {
+    ExIotPipeline pipe(population, world, pipe_config);
+    ASSERT_NE(pipe.durability(), nullptr);
+    EXPECT_EQ(pipe.commit_sequence(), 0u);
+    pipe.run_hours(0, kHours / 2);
+    const std::uint64_t mid = pipe.commit_sequence();
+    EXPECT_GT(mid, 0u);
+    EXPECT_EQ(mid, pipe.durability()->commit_index() - kHours / 2);
+    pipe.run_hours(kHours / 2, kHours);
+    pipe.finish();
+    EXPECT_GT(pipe.commit_sequence(), mid);
+    EXPECT_GE(pipe.commit_sequence(),
+              pipe.metrics().counter_value(
+                  "exiot_feed_records_published_total"));
+    EXPECT_EQ(pipe.commit_sequence(),
+              pipe.durability()->commit_index() - kHours);
+  }
+  // A restart re-runs every commit, which durability suppresses; they
+  // still count, so the sequence ends where the first run's did.
+  ExIotPipeline again(population, world, pipe_config);
+  ASSERT_NE(again.durability(), nullptr);
+  again.run_hours(0, kHours);
+  again.finish();
+  EXPECT_EQ(again.commit_sequence(),
+            again.durability()->commit_index() - kHours);
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

@@ -3,10 +3,10 @@
 // the crash-safety contract — SIGKILL the pipeline at a random commit
 // index, restart from disk, and demand every externally visible artifact
 // (feed export, email outbox, API bodies) be byte-identical to an
-// uninterrupted run, at any producers x shards x annotate-workers setting.
+// uninterrupted run, at any producers x shards setting.
 //
 // This binary has a custom main: when invoked as
-//   durability_test --run-to-kill DIR KILL_INDEX WORKERS PRODUCERS SHARDS
+//   durability_test --run-to-kill DIR KILL_INDEX PRODUCERS SHARDS
 // it runs the pipeline against DIR and raises SIGKILL on itself the moment
 // commit KILL_INDEX is appended to the WAL — after the record is
 // acknowledged on disk, before its side effects run, the worst crash
@@ -343,14 +343,12 @@ inet::PopulationConfig small_population() {
   return config;
 }
 
-PipelineConfig pipeline_config(int workers, int producers, int shards,
+PipelineConfig pipeline_config(int producers, int shards,
                                const fs::path& data_dir) {
   PipelineConfig config;
-  config.num_annotate_workers = workers;
   config.num_producer_threads = producers;
   config.num_detector_shards = shards;
   config.buffer_capacity = 8;
-  config.annotate_queue_capacity = 8;
   config.data_dir = data_dir;
   config.wal_segment_bytes = 64 << 10;  // Small: exercise rolls + prune.
   config.snapshot_interval_hours = 6;
@@ -360,13 +358,12 @@ PipelineConfig pipeline_config(int workers, int producers, int shards,
 /// Runs one full day and captures every externally visible artifact.
 /// `kill_at` > 0 arms the commit probe to SIGKILL the process the moment
 /// that WAL index is appended (only reachable in the --run-to-kill child).
-RunOutput run_pipeline(int workers, int producers, int shards,
-                       const fs::path& data_dir,
+RunOutput run_pipeline(int producers, int shards, const fs::path& data_dir,
                        std::uint64_t kill_at = 0) {
   auto world = inet::WorldModel::standard(Cidr(Ipv4(44, 0, 0, 0), 8));
   auto population = inet::Population::generate(small_population(), world);
   ExIotPipeline pipe(population, world,
-                     pipeline_config(workers, producers, shards, data_dir));
+                     pipeline_config(producers, shards, data_dir));
   EXPECT_EQ(pipe.recovery_error(), "");
   if (kill_at > 0) {
     EXPECT_NE(pipe.durability(), nullptr);
@@ -416,8 +413,8 @@ void expect_same_output(const RunOutput& expected, const RunOutput& actual,
 
 TEST(DurabilityPipelineTest, DurableRunMatchesInMemoryRun) {
   const fs::path dir = scratch_dir("clean");
-  const RunOutput in_memory = run_pipeline(1, 1, 1, "");
-  const RunOutput durable = run_pipeline(1, 1, 1, dir);
+  const RunOutput in_memory = run_pipeline(1, 1, "");
+  const RunOutput durable = run_pipeline(1, 1, dir);
   ASSERT_FALSE(in_memory.feed.empty());
   expect_same_output(in_memory, durable, "wal-on vs in-memory");
   EXPECT_GT(durable.commit_index, 0u);
@@ -427,12 +424,12 @@ TEST(DurabilityPipelineTest, DurableRunMatchesInMemoryRun) {
 
 TEST(DurabilityPipelineTest, CleanRestartRecoversIdenticalState) {
   const fs::path dir = scratch_dir("restart");
-  const RunOutput first = run_pipeline(2, 2, 2, dir);
+  const RunOutput first = run_pipeline(2, 2, dir);
   // Second run over the same directory: recovery restores the final
   // snapshot (the WAL tail past it is empty — finish() wrote it at the
   // last commit), the re-run suppresses every commit, and the feed comes
   // out byte-identical.
-  const RunOutput second = run_pipeline(2, 2, 2, dir);
+  const RunOutput second = run_pipeline(2, 2, dir);
   EXPECT_EQ(second.recovered_index, first.commit_index);
   expect_same_output(first, second, "clean restart");
   fs::remove_all(dir);
@@ -440,12 +437,12 @@ TEST(DurabilityPipelineTest, CleanRestartRecoversIdenticalState) {
 
 TEST(DurabilityPipelineTest, RecoveryWithSnapshotAndEmptyWalTail) {
   const fs::path dir = scratch_dir("snaptail");
-  (void)run_pipeline(1, 1, 1, dir);
+  (void)run_pipeline(1, 1, dir);
   // The final snapshot covers the whole log; recovery must come from the
   // snapshot alone, zero records replayed.
   auto world = inet::WorldModel::standard(Cidr(Ipv4(44, 0, 0, 0), 8));
   auto population = inet::Population::generate(small_population(), world);
-  ExIotPipeline pipe(population, world, pipeline_config(1, 1, 1, dir));
+  ExIotPipeline pipe(population, world, pipeline_config(1, 1, dir));
   ASSERT_NE(pipe.durability(), nullptr);
   EXPECT_GT(pipe.durability()->recovery().snapshot_wal_index, 0u);
   EXPECT_EQ(pipe.durability()->recovery().replayed_records, 0u);
@@ -455,7 +452,7 @@ TEST(DurabilityPipelineTest, RecoveryWithSnapshotAndEmptyWalTail) {
 
 TEST(DurabilityPipelineTest, ReplayOntoNonEmptyStoreIsRejected) {
   const fs::path dir = scratch_dir("nonempty");
-  (void)run_pipeline(1, 1, 1, dir);
+  (void)run_pipeline(1, 1, dir);
 
   feed::FeedManager feed;
   UpdateClassifier trainer;
@@ -506,19 +503,18 @@ TEST(DurabilityPipelineTest, PublishPayloadRoundTrip) {
 /// by SIGKILL (commit `kill_at` reached) or exit cleanly (log shorter
 /// than `kill_at`; the caller picks indexes below the known total).
 void run_child_to_kill(const fs::path& data_dir, std::uint64_t kill_at,
-                       int workers, int producers, int shards) {
+                       int producers, int shards) {
   const std::string kill_s = std::to_string(kill_at);
-  const std::string workers_s = std::to_string(workers);
   const std::string producers_s = std::to_string(producers);
   const std::string shards_s = std::to_string(shards);
   const std::string dir_s = data_dir.string();
   const pid_t pid = ::fork();
   ASSERT_GE(pid, 0);
   if (pid == 0) {
-    const char* argv[] = {"durability_test",    "--run-to-kill",
-                          dir_s.c_str(),        kill_s.c_str(),
-                          workers_s.c_str(),    producers_s.c_str(),
-                          shards_s.c_str(),     nullptr};
+    const char* argv[] = {"durability_test", "--run-to-kill",
+                          dir_s.c_str(),     kill_s.c_str(),
+                          producers_s.c_str(), shards_s.c_str(),
+                          nullptr};
     ::execv("/proc/self/exe", const_cast<char**>(argv));
     ::_exit(127);  // exec failed.
   }
@@ -532,29 +528,27 @@ void run_child_to_kill(const fs::path& data_dir, std::uint64_t kill_at,
 TEST(DurabilityKillTest, RecoversByteIdenticalAcrossThreadMatrix) {
   // The uninterrupted reference (pure in-memory run; the determinism
   // matrix in annotate_test already pins this across configurations).
-  const RunOutput reference = run_pipeline(1, 1, 1, "");
+  const RunOutput reference = run_pipeline(1, 1, "");
   ASSERT_FALSE(reference.feed.empty());
   // Total commits in a full run, to bound the random kill index.
   const fs::path probe_dir = scratch_dir("probe");
-  const std::uint64_t total = run_pipeline(1, 1, 1, probe_dir).commit_index;
+  const std::uint64_t total = run_pipeline(1, 1, probe_dir).commit_index;
   fs::remove_all(probe_dir);
   ASSERT_GT(total, 100u);
 
   std::mt19937_64 rng(20260808u);  // Fixed seed: reproducible failures.
   std::uniform_int_distribution<std::uint64_t> pick(2, total - 1);
-  for (const auto& [workers, producers, shards] :
-       {std::tuple{1, 1, 1}, std::tuple{2, 2, 2}, std::tuple{4, 2, 3}}) {
-    const std::string tag = std::to_string(workers) + "w" +
-                            std::to_string(producers) + "p" +
-                            std::to_string(shards) + "s";
+  for (const auto& [producers, shards] :
+       {std::pair{1, 1}, std::pair{2, 2}, std::pair{2, 3}}) {
+    const std::string tag =
+        std::to_string(producers) + "p" + std::to_string(shards) + "s";
     const fs::path dir = scratch_dir("kill_" + tag);
     const std::uint64_t kill_at = pick(rng);
     SCOPED_TRACE("config " + tag + " killed at commit " +
                  std::to_string(kill_at) + "/" + std::to_string(total));
-    run_child_to_kill(dir, kill_at, workers, producers, shards);
+    run_child_to_kill(dir, kill_at, producers, shards);
     // Restart from what the dead child left on disk and run to the end.
-    const RunOutput recovered =
-        run_pipeline(workers, producers, shards, dir);
+    const RunOutput recovered = run_pipeline(producers, shards, dir);
     EXPECT_GT(recovered.recovered_index, 0u);
     EXPECT_LE(recovered.recovered_index, kill_at);
     expect_same_output(reference, recovered, "killed at " +
@@ -566,10 +560,10 @@ TEST(DurabilityKillTest, RecoversByteIdenticalAcrossThreadMatrix) {
 TEST(DurabilityKillTest, SurvivesKillAtFirstCommit) {
   // The earliest window: the very first acknowledged commit dies before
   // its side effects run. Recovery replays it from the WAL.
-  const RunOutput reference = run_pipeline(1, 1, 1, "");
+  const RunOutput reference = run_pipeline(1, 1, "");
   const fs::path dir = scratch_dir("kill_first");
-  run_child_to_kill(dir, 1, 2, 2, 2);
-  const RunOutput recovered = run_pipeline(2, 2, 2, dir);
+  run_child_to_kill(dir, 1, 2, 2);
+  const RunOutput recovered = run_pipeline(2, 2, dir);
   EXPECT_GE(recovered.recovered_index, 1u);
   expect_same_output(reference, recovered, "killed at first commit");
   fs::remove_all(dir);
@@ -579,10 +573,9 @@ TEST(DurabilityKillTest, SurvivesKillAtFirstCommit) {
 int run_to_kill(char** argv) {
   const fs::path data_dir = argv[2];
   const std::uint64_t kill_at = std::stoull(argv[3]);
-  const int workers = std::stoi(argv[4]);
-  const int producers = std::stoi(argv[5]);
-  const int shards = std::stoi(argv[6]);
-  (void)run_pipeline(workers, producers, shards, data_dir, kill_at);
+  const int producers = std::stoi(argv[4]);
+  const int shards = std::stoi(argv[5]);
+  (void)run_pipeline(producers, shards, data_dir, kill_at);
   return 0;  // Kill index beyond the log: ran to completion.
 }
 
@@ -590,7 +583,7 @@ int run_to_kill(char** argv) {
 }  // namespace exiot::pipeline
 
 int main(int argc, char** argv) {
-  if (argc == 7 && std::string(argv[1]) == "--run-to-kill") {
+  if (argc == 6 && std::string(argv[1]) == "--run-to-kill") {
     return exiot::pipeline::run_to_kill(argv);
   }
   ::testing::InitGoogleTest(&argc, argv);

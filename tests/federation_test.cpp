@@ -3,7 +3,7 @@
 // semantics and its input-order (stable filter) guarantee — and the
 // determinism matrix: the federated feed (export, outbox, API
 // bodies) is byte-identical across site counts {1, 2, 4} x skew profiles
-// x outage profiles x producers x shards x annotate-workers, with
+// x outage profiles x producers x shards, with
 // per-sensor first-seen attribution asserted on the multi-site runs.
 #include <gtest/gtest.h>
 
@@ -55,9 +55,9 @@ TEST(PartitionTest, SplitsIntoEqualPowerOfTwoSubPrefixes) {
 TEST(SightingTableTest, TracksPerSiteFirstSeenAndDedup) {
   telescope::SightingTable table(4);
   const std::uint32_t scanner = Ipv4(203, 0, 113, 9).value();
-  table.record(scanner, 2, seconds(10), seconds(10) + seconds(3));
-  table.record(scanner, 2, seconds(12), seconds(12) + seconds(3));
-  table.record(scanner, 0, seconds(11), seconds(11));
+  table.record(scanner, 2, seconds(10));
+  table.record(scanner, 2, seconds(12));
+  table.record(scanner, 0, seconds(11));
   EXPECT_EQ(table.sources(), 1u);
   EXPECT_EQ(table.multi_sensor_sources(), 1u);
 
@@ -68,11 +68,10 @@ TEST(SightingTableTest, TracksPerSiteFirstSeenAndDedup) {
   EXPECT_EQ(sightings[0].packets, 1u);
   EXPECT_EQ(sightings[1].site, 2u);
   EXPECT_EQ(sightings[1].first_seen, seconds(10));
-  EXPECT_EQ(sightings[1].local_first_seen, seconds(13));
   EXPECT_EQ(sightings[1].packets, 2u);
 
   // A single-sensor source never counts as multi-sensor.
-  table.record(Ipv4(198, 51, 100, 1).value(), 1, seconds(20), seconds(20));
+  table.record(Ipv4(198, 51, 100, 1).value(), 1, seconds(20));
   EXPECT_EQ(table.sources(), 2u);
   EXPECT_EQ(table.multi_sensor_sources(), 1u);
   EXPECT_TRUE(table.sightings_of(Ipv4(192, 0, 2, 1).value()).empty());
@@ -81,7 +80,7 @@ TEST(SightingTableTest, TracksPerSiteFirstSeenAndDedup) {
 TEST(SightingTableTest, SurvivesGrowth) {
   telescope::SightingTable table(2);
   for (std::uint32_t i = 0; i < 5000; ++i) {
-    table.record(i * 2654435761u, i % 2, seconds(i), seconds(i));
+    table.record(i * 2654435761u, i % 2, seconds(i));
   }
   EXPECT_EQ(table.sources(), 5000u);
   const auto s = table.sightings_of(7 * 2654435761u);
@@ -297,8 +296,7 @@ struct SiteProfile {
 /// every externally visible artifact for byte comparison (the same
 /// harness as the annotate determinism matrix, plus federation knobs).
 RunOutput run_pipeline(
-    const SiteProfile& profile, int annotate_workers, int producers,
-    int shards,
+    const SiteProfile& profile, int producers, int shards,
     const std::function<void(ExIotPipeline&)>& inspect = nullptr) {
   inet::PopulationConfig config;
   config.iot_per_day = 30;
@@ -315,8 +313,6 @@ RunOutput run_pipeline(
   pipe_config.num_producer_threads = producers;
   pipe_config.buffer_capacity = 8;
   pipe_config.ingest_batch_size = 64;
-  pipe_config.num_annotate_workers = annotate_workers;
-  pipe_config.annotate_queue_capacity = 8;
   pipe_config.num_sites = profile.sites;
   pipe_config.active_sites = profile.active;
   pipe_config.site_specs.resize(static_cast<std::size_t>(profile.sites));
@@ -367,24 +363,24 @@ RunOutput run_pipeline(
 }
 
 TEST(FederationDeterminismTest, FeedInvariantAcrossSiteMatrix) {
-  const RunOutput baseline = run_pipeline(SiteProfile{}, 1, 1, 1);
+  const RunOutput baseline = run_pipeline(SiteProfile{}, 1, 1);
   EXPECT_GT(baseline.records_published, 0u);
   EXPECT_FALSE(baseline.outbox.empty());
-  // Site count x skew profile x producers x shards x annotate-workers:
-  // demuxing the canonical stream across N sensors and re-merging the
-  // union must reconstruct it exactly, and skew never reaches the feed.
-  for (const auto& [sites, skews, workers, producers, shards] :
-       {std::tuple{2, std::vector<double>{}, 1, 1, 1},
-        std::tuple{2, std::vector<double>{3.0, -2.0}, 2, 2, 2},
-        std::tuple{4, std::vector<double>{}, 1, 2, 2},
-        std::tuple{4, std::vector<double>{1.0, 0.0, -5.0, 60.0}, 4, 2, 2}}) {
+  // Site count x skew profile x producers x shards: demuxing the
+  // canonical stream across N sensors and re-merging the union must
+  // reconstruct it exactly, and skew never reaches the feed.
+  for (const auto& [sites, skews, producers, shards] :
+       {std::tuple{2, std::vector<double>{}, 1, 1},
+        std::tuple{2, std::vector<double>{3.0, -2.0}, 2, 2},
+        std::tuple{4, std::vector<double>{}, 2, 2},
+        std::tuple{4, std::vector<double>{1.0, 0.0, -5.0, 60.0}, 2, 2}}) {
     SiteProfile profile;
     profile.sites = sites;
     profile.skew_seconds = skews;
-    const RunOutput run = run_pipeline(profile, workers, producers, shards);
+    const RunOutput run = run_pipeline(profile, producers, shards);
     EXPECT_EQ(baseline.feed, run.feed)
-        << "sites=" << sites << " workers=" << workers
-        << " producers=" << producers << " shards=" << shards;
+        << "sites=" << sites << " producers=" << producers
+        << " shards=" << shards;
     EXPECT_EQ(baseline.outbox, run.outbox) << "sites=" << sites;
     EXPECT_EQ(baseline.records_api, run.records_api) << "sites=" << sites;
     EXPECT_EQ(baseline.snapshot_api, run.snapshot_api) << "sites=" << sites;
@@ -399,18 +395,18 @@ TEST(FederationDeterminismTest, GlobalOutageProfileInvariantAcrossSites) {
   // across site counts: every sighted site delivers at the same instant.
   SiteProfile outage1;
   outage1.global_outage = {3600.0 * 4, 3600.0 * 7};
-  const RunOutput baseline = run_pipeline(outage1, 1, 1, 1);
+  const RunOutput baseline = run_pipeline(outage1, 1, 1);
   EXPECT_GT(baseline.records_published, 0u);
   for (int sites : {2, 4}) {
     SiteProfile profile = outage1;
     profile.sites = sites;
-    const RunOutput run = run_pipeline(profile, 2, 2, 2);
+    const RunOutput run = run_pipeline(profile, 2, 2);
     EXPECT_EQ(baseline.feed, run.feed) << "sites=" << sites;
     EXPECT_EQ(baseline.records_api, run.records_api) << "sites=" << sites;
     EXPECT_EQ(baseline.snapshot_api, run.snapshot_api) << "sites=" << sites;
   }
   // And the outage did change the feed relative to the clean baseline.
-  const RunOutput clean = run_pipeline(SiteProfile{}, 1, 1, 1);
+  const RunOutput clean = run_pipeline(SiteProfile{}, 1, 1);
   EXPECT_NE(clean.feed, baseline.feed);
 }
 
@@ -419,7 +415,7 @@ TEST(FederationAttributionTest, RecordsCarryPerSensorFirstSeen) {
   profile.sites = 4;
   profile.skew_seconds = {0.0, 2.0, 0.0, -3.0};
   const RunOutput run =
-      run_pipeline(profile, 1, 1, 1, [&](ExIotPipeline& pipe) {
+      run_pipeline(profile, 1, 1, [&](ExIotPipeline& pipe) {
         // Random /8-wide scanners land in several sites' apertures: the
         // ledger must dedup them into one source carrying a multi-sensor
         // sighting list, with local first-seen = canonical + site skew.
@@ -453,10 +449,10 @@ TEST(FederationAttributionTest, RecordsCarryPerSensorFirstSeen) {
 TEST(FederationApertureTest, FewerActiveSitesShrinkDetection) {
   SiteProfile full;
   full.sites = 8;
-  const RunOutput all = run_pipeline(full, 1, 1, 1);
+  const RunOutput all = run_pipeline(full, 1, 1);
   SiteProfile quarter = full;
   quarter.active = 2;  // A quarter of the aperture.
-  const RunOutput partial = run_pipeline(quarter, 1, 1, 1);
+  const RunOutput partial = run_pipeline(quarter, 1, 1);
   // A smaller aperture sees strictly less traffic and no more scanners.
   EXPECT_LT(partial.packets_processed, all.packets_processed);
   EXPECT_LE(partial.scanners_detected, all.scanners_detected);

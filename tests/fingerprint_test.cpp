@@ -232,7 +232,7 @@ TEST_F(RuleDbTest, PrefilterSkipsRulesWithoutRunningRegex) {
 
 TEST_F(RuleDbTest, ConcurrentMatchIsThreadSafe) {
   // Shared db + shared magic-static device-text regex hammered from many
-  // threads: annotate workers do exactly this. Run under TSan in CI.
+  // threads. Run under TSan in CI.
   const std::vector<std::string> banners = {
       "RouterOS v6.45.9", "SSH-2.0-OpenSSH_7.4", "no match at all",
       "TL-WR841N device text", "Server: Apache/2.4.18"};

@@ -38,8 +38,7 @@ struct RunOutput {
 /// Full pipeline run over the small deterministic population (the same
 /// world annotate_test uses); returns the feed bytes for comparison plus
 /// the span count so tests can assert tracing actually ran (or didn't).
-RunOutput run_pipeline(int annotate_workers, int producers, int shards,
-                       double trace_sample) {
+RunOutput run_pipeline(int producers, int shards, double trace_sample) {
   inet::PopulationConfig config;
   config.iot_per_day = 30;
   config.generic_per_day = 20;
@@ -55,8 +54,6 @@ RunOutput run_pipeline(int annotate_workers, int producers, int shards,
   pipe_config.num_producer_threads = producers;
   pipe_config.buffer_capacity = 8;
   pipe_config.ingest_batch_size = 64;
-  pipe_config.num_annotate_workers = annotate_workers;
-  pipe_config.annotate_queue_capacity = 8;
   pipe_config.trace_sample = trace_sample;
   ExIotPipeline pipe(population, world, pipe_config);
   pipe.run_days(0, 1);
@@ -98,17 +95,16 @@ TEST(TracingDeterminismTest, FeedInvariantAcrossSamplingMatrix) {
   // Baseline: fully serial, tracing off. Every other combination — any
   // parallelism at 0%, 1%, or 100% sampling — must produce byte-identical
   // feed output: tracing observes records, it never touches them.
-  const RunOutput baseline = run_pipeline(1, 1, 1, 0.0);
+  const RunOutput baseline = run_pipeline(1, 1, 0.0);
   EXPECT_GT(baseline.records_published, 0u);
   EXPECT_EQ(baseline.spans_recorded, 0u);
-  for (const auto& [workers, producers, shards, sample] :
-       {std::tuple{1, 1, 1, 1.0}, std::tuple{2, 2, 2, 0.0},
-        std::tuple{2, 2, 2, 0.01}, std::tuple{2, 2, 2, 1.0},
-        std::tuple{4, 2, 2, 1.0}}) {
-    const RunOutput run = run_pipeline(workers, producers, shards, sample);
+  for (const auto& [producers, shards, sample] :
+       {std::tuple{1, 1, 1.0}, std::tuple{2, 2, 0.0}, std::tuple{2, 2, 0.01},
+        std::tuple{2, 2, 1.0}}) {
+    const RunOutput run = run_pipeline(producers, shards, sample);
     EXPECT_EQ(baseline.feed, run.feed)
-        << "workers=" << workers << " producers=" << producers
-        << " shards=" << shards << " sample=" << sample;
+        << "producers=" << producers << " shards=" << shards
+        << " sample=" << sample;
     EXPECT_EQ(baseline.records_published, run.records_published);
     EXPECT_EQ(baseline.iot_records, run.iot_records);
     EXPECT_EQ(baseline.noniot_records, run.noniot_records);
@@ -136,7 +132,6 @@ TEST(TracesEndpointTest, CoversEveryStageAndSplitsWaitFromWork) {
   PipelineConfig pipe_config;
   pipe_config.num_detector_shards = 2;
   pipe_config.num_producer_threads = 2;
-  pipe_config.num_annotate_workers = 2;
   pipe_config.trace_sample = 1.0;  // Trace everything.
   ExIotPipeline pipe(population, world, pipe_config);
   pipe.run_days(0, 1);

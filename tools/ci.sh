@@ -8,10 +8,11 @@
 # (the threaded ingest stage, the blocking buffer, the epoll API plane —
 # event loops, worker pool, response cache, rate limiter, streaming
 # export, keep-alive, stop-while-serving — the parallel
-# traffic producer, parallel forest training, the annotate worker pool
-# with its ordered reorder commit, the durability layer's WAL appends off
-# the committer thread including the kill-at-random-commit recovery test,
-# and concurrent banner-rule matching).
+# traffic producer, parallel forest training, the pipeline runs at
+# several producers x shards that annotate_test, federation_test and
+# tracing_test drive, the durability layer's WAL appends beside producer
+# and detector threads including the kill-at-random-commit recovery
+# test, and concurrent banner-rule matching).
 #
 #   tools/ci.sh [build-dir] [tsan-build-dir] [asan-build-dir]
 set -eu

@@ -10,7 +10,7 @@
 //       flows ended.
 //   exiotctl simulate  [--scale S] [--days N] [--seed N]
 //                      [--producers N] [--shards N] [--buffer N]
-//                      [--batch-size N] [--annotate-workers N]
+//                      [--batch-size N]
 //                      [--sites N] [--active-sites K]
 //                      [--site-skew S0,S1,...] [--site-outage IDX:FROM:TO]
 //                      [--site-reconnect S]
@@ -19,11 +19,9 @@
 //                      [--snapshot-interval H] [--wal-fsync none|roll|always]
 //                      [--jsonl FILE] [--csv FILE] [--dashboard FILE]
 //       Run the full pipeline and export the resulting feed. --producers
-//       synthesizes traffic on N producer threads, --shards runs the
-//       capture->detect stage on N detector threads, and
-//       --annotate-workers annotates/classifies records on N workers with
-//       an ordered reorder commit (output is identical for any producers
-//       x shards x annotate-workers combination); --buffer sets the
+//       synthesizes traffic on N producer threads and --shards runs the
+//       capture->detect stage on N detector threads (output is identical
+//       for any producers x shards combination); --buffer sets the
 //       per-shard capture buffer capacity in batches and --batch-size the
 //       rows per packet batch on the capture->detect hot path (any
 //       value yields the identical feed). --trace-sample
@@ -52,20 +50,19 @@
 //       Match a banner against the rule database.
 //   exiotctl metrics   [--scale S] [--days N] [--seed N]
 //                      [--producers N] [--shards N] [--buffer N]
-//                      [--annotate-workers N]
 //                      [--trace-sample R] [--watchdog-deadline MS]
 //                      [--format prom|json] [--out FILE]
 //       Run the pipeline and dump its metrics registry — Prometheus text
 //       exposition (what GET /v1/metrics serves) or the JSON snapshot.
 //   exiotctl trace     [--scale S] [--days N] [--seed N] [--producers N]
-//                      [--shards N] [--annotate-workers N]
+//                      [--shards N]
 //                      [--trace-sample R] [--limit N] [--format table|json]
 //       Run the pipeline with span tracing on (default --trace-sample
 //       0.01) and print the sampled end-to-end traces: per-stage
 //       processing time vs queue-wait time for each sampled record/batch
 //       (what GET /v1/traces serves).
 //   exiotctl serve     [--scale S] [--days N] [--seed N] [--producers N]
-//                      [--shards N] [--annotate-workers N]
+//                      [--shards N]
 //                      [--trace-sample R] [--watchdog-deadline MS]
 //                      [--data-dir DIR] [--wal-segment-bytes N]
 //                      [--snapshot-interval H] [--wal-fsync none|roll|always]
@@ -90,6 +87,12 @@
 //       the watchdog, when armed, are exposed at /v1/traces and /v1/health;
 //       /v1/flightrecorder always serves the recent-event ring, and a
 //       fatal signal dumps it to stderr.
+//
+// metrics, trace and serve also take every simulate flag that shapes the
+// run (the population, threading, federation and durability flags).
+// Each subcommand rejects, with exit code 2 and before doing any work, a
+// flag it does not read, a flag without a value, a --port outside
+// 0..65535 and an --api-timeout below 1.
 #include <algorithm>
 #include <atomic>
 #include <charconv>
@@ -103,7 +106,10 @@
 #include <fstream>
 #include <map>
 #include <string>
+#include <string_view>
 #include <thread>
+#include <utility>
+#include <vector>
 
 #include "api/query.h"
 #include "api/tcp.h"
@@ -127,8 +133,28 @@ class Args {
  public:
   Args(int argc, char** argv) : argc_(argc), argv_(argv) {}
 
+  /// Exits 2 unless argv[2..] is a sequence of `--flag value` pairs whose
+  /// every flag is in `known`, the flags `command` reads. Runs before the
+  /// command does any work, so a misspelled flag cannot be ignored.
+  void require_known(const std::string& command,
+                     const std::vector<std::string_view>& known) const {
+    for (int i = 2; i < argc_; i += 2) {
+      const std::string_view flag = argv_[i];
+      if (std::find(known.begin(), known.end(), flag) == known.end()) {
+        std::fprintf(stderr, "exiotctl %s: unknown flag %s\n",
+                     command.c_str(), argv_[i]);
+        std::exit(2);
+      }
+      if (i + 1 == argc_) {
+        std::fprintf(stderr, "exiotctl %s: %s expects a value\n",
+                     command.c_str(), argv_[i]);
+        std::exit(2);
+      }
+    }
+  }
+
   std::string get(const std::string& flag, std::string fallback = "") const {
-    for (int i = 2; i + 1 < argc_; ++i) {
+    for (int i = 2; i + 1 < argc_; i += 2) {
       if (flag == argv_[i]) return argv_[i + 1];
     }
     return fallback;
@@ -193,7 +219,7 @@ class Args {
   /// be given once per outage).
   std::vector<std::string> get_all(const std::string& flag) const {
     std::vector<std::string> values;
-    for (int i = 2; i + 1 < argc_; ++i) {
+    for (int i = 2; i + 1 < argc_; i += 2) {
       if (flag == argv_[i]) values.push_back(argv_[i + 1]);
     }
     return values;
@@ -206,13 +232,28 @@ class Args {
 
 Cidr aperture() { return Cidr(Ipv4(44, 0, 0, 0), 8); }
 
+/// `own` plus the flags every pipeline-running subcommand reads: the
+/// population flags and those of apply_pipeline_flags.
+std::vector<std::string_view> with_pipeline_flags(
+    std::initializer_list<std::string_view> own) {
+  std::vector<std::string_view> flags = {
+      "--scale", "--days", "--seed",
+      "--shards", "--producers", "--buffer", "--batch-size",
+      "--trace-sample", "--watchdog-deadline",
+      "--data-dir", "--wal-segment-bytes", "--snapshot-interval",
+      "--wal-fsync",
+      "--sites", "--active-sites", "--site-reconnect", "--site-skew",
+      "--site-outage"};
+  flags.insert(flags.end(), own);
+  return flags;
+}
+
 /// Threading + observability + durability flags shared by
 /// simulate/metrics/trace/serve.
 void apply_pipeline_flags(const Args& args,
                           pipeline::PipelineConfig& config) {
   config.num_detector_shards = args.get_positive_int("--shards", 1);
   config.num_producer_threads = args.get_positive_int("--producers", 1);
-  config.num_annotate_workers = args.get_positive_int("--annotate-workers", 1);
   config.buffer_capacity =
       static_cast<std::size_t>(args.get_positive_int("--buffer", 64));
   config.decode_batch_size = static_cast<std::size_t>(
@@ -447,10 +488,10 @@ int cmd_simulate(const Args& args) {
   inet::PopulationConfig config;
   config.days = days;
   config.seed = static_cast<std::uint64_t>(args.get_int("--seed", 42));
-  auto population =
-      inet::Population::generate(config.scaled(scale), world);
   pipeline::PipelineConfig pipe_config;
   apply_pipeline_flags(args, pipe_config);
+  auto population =
+      inet::Population::generate(config.scaled(scale), world);
   pipeline::ExIotPipeline pipe(population, world, pipe_config);
   report_recovery(pipe);
   pipe.run_days(0, days);
@@ -488,10 +529,10 @@ int cmd_metrics(const Args& args) {
   inet::PopulationConfig config;
   config.days = days;
   config.seed = static_cast<std::uint64_t>(args.get_int("--seed", 42));
-  auto population =
-      inet::Population::generate(config.scaled(scale), world);
   pipeline::PipelineConfig pipe_config;
   apply_pipeline_flags(args, pipe_config);
+  auto population =
+      inet::Population::generate(config.scaled(scale), world);
   pipeline::ExIotPipeline pipe(population, world, pipe_config);
   pipe.run_days(0, days);
   pipe.finish();
@@ -521,10 +562,10 @@ int cmd_trace(const Args& args) {
   inet::PopulationConfig config;
   config.days = days;
   config.seed = static_cast<std::uint64_t>(args.get_int("--seed", 42));
-  auto population =
-      inet::Population::generate(config.scaled(scale), world);
   pipeline::PipelineConfig pipe_config;
   apply_pipeline_flags(args, pipe_config);
+  auto population =
+      inet::Population::generate(config.scaled(scale), world);
   if (args.get("--trace-sample").empty()) pipe_config.trace_sample = 0.01;
   pipeline::ExIotPipeline pipe(population, world, pipe_config);
   pipe.run_days(0, days);
@@ -608,14 +649,38 @@ void on_serve_signal(int) { g_serve_stop.store(true); }
 int cmd_serve(const Args& args) {
   const double scale = args.get_positive_double("--scale", 0.2);
   const int days = args.get_positive_int("--days", 1);
+  // Every serve flag is checked here, before the pipeline runs.
+  const int port = args.get_int("--port", 8080);
+  if (port < 0 || port > 65535) {
+    std::fprintf(stderr, "serve: --port must be in 0..65535, got %d\n", port);
+    return 2;
+  }
+  const int cache_bytes = args.get_int("--api-cache-bytes", 16 << 20);
+  if (cache_bytes < 0) {
+    std::fprintf(stderr, "serve: --api-cache-bytes must be >= 0, got %d\n",
+                 cache_bytes);
+    return 2;
+  }
+  const double rate_limit = args.get_double("--api-rate-limit", 0.0);
+  if (rate_limit < 0.0) {
+    std::fprintf(stderr, "serve: --api-rate-limit must be >= 0, got %g\n",
+                 rate_limit);
+    return 2;
+  }
+  api::TcpListenerOptions options;
+  options.num_workers = args.get_positive_int("--api-workers", 4);
+  options.num_event_loops = args.get_positive_int("--api-event-loops", 1);
+  const int timeout_ms = args.get_positive_int("--api-timeout", 5000);
+  options.read_timeout = std::chrono::milliseconds(timeout_ms);
+  options.write_timeout = std::chrono::milliseconds(timeout_ms);
   auto world = inet::WorldModel::standard(aperture());
   inet::PopulationConfig config;
   config.days = days;
   config.seed = static_cast<std::uint64_t>(args.get_int("--seed", 42));
-  auto population =
-      inet::Population::generate(config.scaled(scale), world);
   pipeline::PipelineConfig pipe_config;
   apply_pipeline_flags(args, pipe_config);
+  auto population =
+      inet::Population::generate(config.scaled(scale), world);
   pipeline::ExIotPipeline pipe(population, world, pipe_config);
   report_recovery(pipe);
   pipe.run_days(0, days);
@@ -632,24 +697,12 @@ int cmd_serve(const Args& args) {
   server.attach_flight_recorder(&pipe.flight_recorder());
   if (pipe.watchdog() != nullptr) server.attach_watchdog(pipe.watchdog());
 
-  // Response cache, keyed by the annotate committer's sequence number: a
-  // publish invalidates exactly the responses it could have changed.
-  const int cache_bytes = args.get_int("--api-cache-bytes", 16 << 20);
-  if (cache_bytes < 0) {
-    std::fprintf(stderr, "serve: --api-cache-bytes must be >= 0, got %d\n",
-                 cache_bytes);
-    return 2;
-  }
+  // Response cache, keyed by the pipeline's commit sequence: a publish
+  // invalidates exactly the responses it could have changed.
   api::ResponseCache cache(static_cast<std::size_t>(cache_bytes));
   if (cache_bytes > 0) {
     cache.instrument(pipe.metrics());
     server.attach_cache(&cache, [&pipe] { return pipe.commit_sequence(); });
-  }
-  const double rate_limit = args.get_double("--api-rate-limit", 0.0);
-  if (rate_limit < 0.0) {
-    std::fprintf(stderr, "serve: --api-rate-limit must be >= 0, got %g\n",
-                 rate_limit);
-    return 2;
   }
   api::TokenBucketLimiter limiter({rate_limit, std::max(10.0, rate_limit)});
   if (limiter.enabled()) {
@@ -657,29 +710,22 @@ int cmd_serve(const Args& args) {
     server.attach_rate_limiter(&limiter);
   }
 
-  api::TcpListenerOptions options;
-  options.num_workers = args.get_positive_int("--api-workers", 4);
-  options.num_event_loops = args.get_positive_int("--api-event-loops", 1);
-  const int timeout_ms = args.get_int("--api-timeout", 5000);
-  options.read_timeout = std::chrono::milliseconds(timeout_ms);
-  options.write_timeout = std::chrono::milliseconds(timeout_ms);
   api::TcpListener listener(server, options);
   listener.instrument(pipe.metrics());
   if (pipe.watchdog() != nullptr) listener.set_watchdog(pipe.watchdog());
-  auto port = listener.start(
-      static_cast<std::uint16_t>(args.get_int("--port", 8080)));
-  if (!port.ok()) {
-    std::fprintf(stderr, "serve: %s\n", port.error().message.c_str());
+  auto bound = listener.start(static_cast<std::uint16_t>(port));
+  if (!bound.ok()) {
+    std::fprintf(stderr, "serve: %s\n", bound.error().message.c_str());
     return 1;
   }
   std::printf("serving http://127.0.0.1:%u (%d loops, %d workers, %d ms "
               "deadlines, %d cache bytes, %g req/s per token)\n",
-              port.value(), options.num_event_loops, options.num_workers,
+              bound.value(), options.num_event_loops, options.num_workers,
               timeout_ms, cache_bytes, rate_limit);
-  std::printf("  curl http://127.0.0.1:%u/v1/health\n", port.value());
+  std::printf("  curl http://127.0.0.1:%u/v1/health\n", bound.value());
   std::printf("  curl -H 'Authorization: Bearer %s' "
               "'http://127.0.0.1:%u/v1/records?limit=10'\n",
-              token.c_str(), port.value());
+              token.c_str(), bound.value());
   std::printf("Ctrl-C to drain and exit.\n");
 
   std::signal(SIGINT, on_serve_signal);
@@ -730,16 +776,32 @@ int main(int argc, char** argv) {
                  "fingerprint|metrics|serve> [flags]\n");
     return 2;
   }
+  using Handler = int (*)(const Args&);
+  const std::map<std::string,
+                 std::pair<Handler, std::vector<std::string_view>>>
+      commands = {
+          {"capture",
+           {cmd_capture, {"--dir", "--scale", "--hours", "--seed"}}},
+          {"replay", {cmd_replay, {"--dir"}}},
+          {"simulate",
+           {cmd_simulate,
+            with_pipeline_flags({"--jsonl", "--csv", "--dashboard"})}},
+          {"trace", {cmd_trace, with_pipeline_flags({"--limit", "--format"})}},
+          {"query", {cmd_query, {"--jsonl", "--q"}}},
+          {"fingerprint", {cmd_fingerprint, {"--banner"}}},
+          {"metrics", {cmd_metrics, with_pipeline_flags({"--format", "--out"})}},
+          {"serve",
+           {cmd_serve,
+            with_pipeline_flags({"--port", "--token", "--api-workers",
+                                 "--api-timeout", "--api-event-loops",
+                                 "--api-cache-bytes", "--api-rate-limit"})}},
+      };
   const Args args(argc, argv);
   const std::string command = argv[1];
-  if (command == "capture") return cmd_capture(args);
-  if (command == "replay") return cmd_replay(args);
-  if (command == "simulate") return cmd_simulate(args);
-  if (command == "trace") return cmd_trace(args);
-  if (command == "query") return cmd_query(args);
-  if (command == "fingerprint") return cmd_fingerprint(args);
-  if (command == "metrics") return cmd_metrics(args);
-  if (command == "serve") return cmd_serve(args);
+  if (const auto it = commands.find(command); it != commands.end()) {
+    args.require_known(command, it->second.second);
+    return it->second.first(args);
+  }
   std::fprintf(stderr, "unknown command: %s\n", command.c_str());
   return 2;
 }
