@@ -13,16 +13,18 @@
 //   merge — federated pipeline pps at 1/2/4/8 sites with every site
 //     active. sites=1 exercises the single-site passthrough (must stay
 //     at the unfederated baseline); the rest price the federation filter
-//     on the hot path: one pass over each batch's rows recording
-//     per-site sightings, the input batch forwarded as is. (The table
-//     keeps its historical "merge" key so the committed baseline still
-//     gates it.)
+//     on the hot path: one pass over each batch's rows setting each
+//     row's site bit in its source's site mask, the input batch forwarded
+//     as is. (The table keeps its historical "merge" key so the committed
+//     baseline still gates it.)
 //
 //   ./bench_federation            (EXIOT_SCALE=0.2 EXIOT_SEED=42)
 //
 // Results go to BENCH_federation.json for the perf trajectory
 // (tools/check_bench_regression.sh keys rows by "sites"/"coverage"/
-// "profile" and gates the records_per_s / pps values).
+// "profile", gates the records_per_s / pps values against a floor, and
+// requires the deterministic packet, scanner, record and latency columns
+// to equal the baseline).
 #include <chrono>
 #include <cstdio>
 #include <vector>

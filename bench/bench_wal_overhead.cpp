@@ -3,9 +3,9 @@
 //   pipeline — full-pipeline records/s with the durability layer off, on
 //     with the default fsync-on-roll policy, and on with fsync-per-commit.
 //     The acceptance bar for the WAL design is the `wal` row staying
-//     within ~10% of `off`: appends ride the committer thread and a frame
-//     is one write(2) into the page cache, so the log should be nearly
-//     free until fsync enters the picture.
+//     within ~10% of `off`: appends run inline in the pipeline's commit
+//     and a frame is one write(2) into the page cache, so the log should
+//     be nearly free until fsync enters the picture.
 //   append — raw WalWriter appends/s per fsync policy with
 //     publish-record-sized payloads, isolating the log itself from the
 //     pipeline around it.
@@ -199,7 +199,7 @@ int main() {
                 benchx::bench_json_path("BENCH_wal.json").c_str());
   }
   std::printf("\nexpected: wal within ~10%% of off (append is one write(2) "
-              "on the committer thread); wal_fsync_each pays one fsync per "
-              "commit and is disk-bound.\n");
+              "inline in the pipeline's commit); wal_fsync_each pays one "
+              "fsync per commit and is disk-bound.\n");
   return 0;
 }

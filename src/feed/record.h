@@ -20,21 +20,6 @@ inline constexpr const char* kLabelNonIot = "non-IoT";
 inline constexpr const char* kLabelBenign = "Benign";
 inline constexpr const char* kLabelUnlabeled = "unlabeled";
 
-/// One sensor site's view of a source under telescope federation: which
-/// aperture captured it, when that sensor first saw it (canonical clock
-/// and the sensor's own skewed clock), and how many of its packets landed
-/// there. Attached to records as in-memory vantage metadata only — see
-/// CtiRecord::sightings.
-struct SensorSighting {
-  std::string sensor;               // Site name ("site0", ...).
-  std::string aperture;             // The site's sub-prefix, CIDR text.
-  TimeMicros first_seen = 0;        // Canonical clock.
-  TimeMicros local_first_seen = 0;  // Sensor clock (canonical + skew).
-  std::uint64_t packets = 0;
-
-  bool operator==(const SensorSighting&) const = default;
-};
-
 struct CtiRecord {
   // Identity and lifecycle.
   Ipv4 src;
@@ -74,17 +59,6 @@ struct CtiRecord {
   double scan_rate = 0.0;
   double address_repetition = 1.0;
   std::vector<std::pair<std::uint16_t, int>> targeted_ports;
-
-  /// Per-sensor attribution under telescope federation: one entry per
-  /// site that sighted the source (deduped — the feed publishes ONE
-  /// record per source however many sensors saw it). Deliberately
-  /// excluded from to_json/from_json: the canonical feed bytes must be
-  /// identical for every site count (the federation determinism
-  /// contract), and the sighting list is exactly what differs between
-  /// vantage configurations. It rides the in-memory record through
-  /// annotation, notification callbacks, and tests; stored documents and
-  /// WAL replay drop it.
-  std::vector<SensorSighting> sightings;
 
   json::Value to_json() const;
   static CtiRecord from_json(const json::Value& doc);

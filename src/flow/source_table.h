@@ -1,10 +1,11 @@
 // Open-addressing hash table keyed by IPv4 source address, replacing
-// std::unordered_map on the detector's per-packet path. The chained map
-// cost one pointer chase (node allocation) plus a modulo per lookup; this
-// table keeps keys and slot states in two flat arrays, so the hot
-// find-or-insert is a multiply-shift hash, one key-array probe (almost
-// always a hit on the first slot at the working load factor), and a direct
-// index into the value array.
+// std::unordered_map on the detector's per-packet path; the federation
+// stage keeps its per-source site masks in one too. The chained map cost
+// one pointer chase (node allocation) plus a modulo per lookup; this table
+// keeps keys and slot states in two flat arrays, so the hot find-or-insert
+// is a multiply-shift hash, one key-array probe (almost always a hit on
+// the first slot at the working load factor), and a direct index into the
+// value array.
 //
 // Values are plain data (trivially copyable): erase_if only tombstones a
 // slot and leaves its bytes in place, and find_or_insert resets a slot's
@@ -62,6 +63,17 @@ class SourceTable {
       }
       i = (i + 1) & mask;
     }
+  }
+
+  /// The value for `key`, or nullptr when it is absent (no insert).
+  const V* find(std::uint32_t key) const {
+    if (size_ == 0) return nullptr;
+    const std::size_t mask = capacity() - 1;
+    for (std::size_t i = hash(key) & mask; state_[i] != kEmpty;
+         i = (i + 1) & mask) {
+      if (state_[i] == kFull && keys_[i] == key) return &values_[i];
+    }
+    return nullptr;
   }
 
   /// One in-place pass in slot order: tombstones every entry for which

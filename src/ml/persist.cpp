@@ -1,9 +1,5 @@
 #include "ml/persist.h"
 
-#include <algorithm>
-#include <cstdio>
-#include <fstream>
-
 namespace exiot::ml {
 namespace {
 
@@ -159,65 +155,6 @@ Result<PersistedModel> model_from_json(const json::Value& doc) {
   model.training_examples =
       static_cast<std::size_t>(doc.get_int("training_examples"));
   return model;
-}
-
-ModelDirectory::ModelDirectory(std::filesystem::path dir)
-    : dir_(std::move(dir)) {
-  std::filesystem::create_directories(dir_);
-}
-
-Result<std::filesystem::path> ModelDirectory::save(
-    const PersistedModel& model) const {
-  char name[64];
-  std::snprintf(name, sizeof(name), "model-%020lld.json",
-                static_cast<long long>(model.trained_at));
-  const std::filesystem::path path = dir_ / name;
-  std::ofstream out(path, std::ios::trunc);
-  if (!out) {
-    return make_error("ml_persist", "cannot open " + path.string());
-  }
-  out << model_to_json(model).dump();
-  if (!out) {
-    return make_error("ml_persist", "write failed: " + path.string());
-  }
-  return path;
-}
-
-Result<PersistedModel> ModelDirectory::load(
-    const std::filesystem::path& file) const {
-  std::ifstream in(file);
-  if (!in) return make_error("ml_persist", "cannot open " + file.string());
-  std::string text((std::istreambuf_iterator<char>(in)),
-                   std::istreambuf_iterator<char>());
-  auto doc = json::parse(text);
-  if (!doc.ok()) return doc.error();
-  return model_from_json(doc.value());
-}
-
-std::vector<std::filesystem::path> ModelDirectory::list() const {
-  std::vector<std::filesystem::path> out;
-  if (!std::filesystem::exists(dir_)) return out;
-  for (const auto& entry : std::filesystem::directory_iterator(dir_)) {
-    const std::string name = entry.path().filename().string();
-    if (name.starts_with("model-") && entry.path().extension() == ".json") {
-      out.push_back(entry.path());
-    }
-  }
-  std::sort(out.begin(), out.end());  // Zero-padded timestamps sort.
-  return out;
-}
-
-Result<PersistedModel> ModelDirectory::load_at(TimeMicros t) const {
-  const auto files = list();
-  Result<PersistedModel> best =
-      make_error("ml_persist", "no model trained at or before " +
-                                   format_time(t));
-  for (const auto& file : files) {
-    auto model = load(file);
-    if (!model.ok()) continue;
-    if (model.value().trained_at <= t) best = std::move(model);
-  }
-  return best;
 }
 
 }  // namespace exiot::ml

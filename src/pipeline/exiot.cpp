@@ -372,8 +372,6 @@ AnnotateResult ExIotPipeline::annotate(const PendingRecord& pending) const {
 
   record.active = !pending.ended;
   record.scan_end = pending.ended ? pending.end_ts : 0;
-  // In-memory vantage metadata; never serialized (see feed/record.h).
-  record.sightings = federation_.sightings_of(record.src);
   return out;
 }
 
@@ -400,9 +398,9 @@ void ExIotPipeline::run_hours(std::int64_t first_hour,
     const TimeMicros end = start + kMicrosPerHour;
     // The hour moves through capture->detect in packet batches: the
     // producer synthesizes into PacketBatch rows, the federation stage
-    // records each row's sighting and drops dark apertures' rows in one
-    // pass (a pass-through at num_sites == 1), and the ingest stage hands
-    // each row to FlowDetector::process.
+    // marks each row's site in its source's mask and drops dark
+    // apertures' rows in one pass (a pass-through at num_sites == 1), and
+    // the ingest stage hands each row to FlowDetector::process.
     ingest_.run_hour_batched(
         [this, start, end](const ThreadedIngest::BatchFn& fn) {
           return federation_.run_window(

@@ -97,16 +97,17 @@ struct PipelineConfig {
   /// Hours between compacted snapshots (0 = only the final one).
   int snapshot_interval_hours = 24;
   /// Telescope federation: sensor sites the aperture is carved into
-  /// (power of two; 1 = the single-telescope legacy path). The merged
-  /// feed is byte-identical for any site count — see pipeline/federation.h.
-  /// CLI: `exiotctl --sites`.
+  /// (power of two in 1..FederationStage::kMaxSites, else the constructor
+  /// throws std::invalid_argument; 1 = the single-telescope legacy
+  /// path). The merged feed is byte-identical for any site count — see
+  /// pipeline/federation.h. CLI: `exiotctl --sites`.
   int num_sites = 1;
   /// Sites actually capturing (first k of the partition; 0 = all). Fewer
   /// active sites shrink the effective aperture without changing the
   /// canonical traffic — the marginal-aperture experiment's knob.
   int active_sites = 0;
-  /// Per-site clock skew / tunnel outages, index-matched to the sites
-  /// (missing entries take the SiteSpec defaults).
+  /// Per-site tunnel reconnect delays and outages, index-matched to the
+  /// sites (missing entries take the SiteSpec defaults).
   std::vector<SiteSpec> site_specs;
 };
 
@@ -143,7 +144,7 @@ class ExIotPipeline {
   /// configuration (the common test hook for outage injection).
   ReconnectingTunnel& tunnel() { return federation_.tunnel(0); }
   /// The federation stage: per-site apertures, tunnels, and the
-  /// per-sensor sighting ledger.
+  /// source -> site-mask ledger.
   FederationStage& federation() { return federation_; }
   const FederationStage& federation() const { return federation_; }
   /// The pipeline-wide metrics registry: every stage and store records

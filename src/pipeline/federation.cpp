@@ -1,22 +1,34 @@
 #include "pipeline/federation.h"
 
 #include <algorithm>
-#include <cassert>
+#include <bit>
+#include <stdexcept>
 
 namespace exiot::pipeline {
 
 FederationStage::FederationStage(FederationConfig config,
                                  obs::MetricsRegistry* metrics)
     : config_(config) {
-  assert(telescope::is_power_of_two(config_.num_sites));
+  if (!telescope::is_power_of_two(config_.num_sites) ||
+      config_.num_sites > kMaxSites) {
+    throw std::invalid_argument(
+        "federation: num_sites must be a power of two in 1.." +
+        std::to_string(kMaxSites) + ", got " +
+        std::to_string(config_.num_sites));
+  }
+  const int bits = std::countr_zero(static_cast<unsigned>(config_.num_sites));
+  if (config_.telescope.prefix_len() + bits > 32) {
+    throw std::invalid_argument(
+        "federation: " + std::to_string(config_.num_sites) +
+        " sites split " + config_.telescope.to_string() +
+        " finer than a /32");
+  }
   active_ = config_.active_sites <= 0
                 ? config_.num_sites
                 : std::min(config_.active_sites, config_.num_sites);
 
   const std::vector<Cidr> apertures =
       telescope::partition_aperture(config_.telescope, config_.num_sites);
-  int bits = 0;
-  while ((1 << bits) < config_.num_sites) ++bits;
   site_shift_ = static_cast<std::uint32_t>(
       32 - config_.telescope.prefix_len() - bits);
 
@@ -30,7 +42,6 @@ FederationStage::FederationStage(FederationConfig config,
     telescope::SiteInfo info;
     info.name = "site" + std::to_string(i);
     info.aperture = apertures[static_cast<std::size_t>(i)];
-    info.clock_skew = spec.clock_skew;
     sites_.push_back(info);
     tunnels_.push_back(std::make_unique<ReconnectingTunnel>(
         spec.reconnect_delay, metrics, info.name));
@@ -42,7 +53,6 @@ FederationStage::FederationStage(FederationConfig config,
         "Packets captured per sensor site's aperture.",
         obs::Labels{{"site", info.name}}));
   }
-  sightings_.reset(static_cast<std::size_t>(config_.num_sites));
   site_counts_.assign(static_cast<std::size_t>(config_.num_sites), 0);
   dropped_c_ = &reg.counter(
       "exiot_federation_dropped_total",
@@ -83,8 +93,13 @@ std::size_t FederationStage::run_window(const BatchSource& source,
         continue;  // Dark aperture: nobody is listening there.
       }
       ++site_counts_[site];
-      sightings_.record(pkt.src.value(), static_cast<std::uint32_t>(site),
-                        pkt.ts);
+      std::uint64_t& sites = site_masks_.find_or_insert(pkt.src.value());
+      const std::uint64_t with_site = sites | (std::uint64_t{1} << site);
+      // A second site: one more source deduped across sensors.
+      if (with_site != sites && std::has_single_bit(sites)) {
+        ++multi_sensor_sources_;
+      }
+      sites = with_site;
       if (filtering) out_.push_back(pkt);
     }
     for (std::size_t s = 0; s < site_counts_.size(); ++s) {
@@ -97,36 +112,23 @@ std::size_t FederationStage::run_window(const BatchSource& source,
     }
   });
   if (dropped != 0) dropped_c_->inc(dropped);
-  multi_sensor_g_->set(
-      static_cast<double>(sightings_.multi_sensor_sources()));
+  multi_sensor_g_->set(static_cast<double>(multi_sensor_sources_));
   return forwarded;
 }
 
 TimeMicros FederationStage::deliver_event(Ipv4 src, TimeMicros sent_at) {
-  if (config_.num_sites == 1) return tunnels_[0]->deliver(sent_at);
-  const auto sighted = sightings_.sightings_of(src.value());
-  if (sighted.empty()) return tunnels_[0]->deliver(sent_at);
+  std::uint64_t sites = sites_of(src);
+  if (sites == 0) return tunnels_[0]->deliver(sent_at);
   TimeMicros at = sent_at;
-  for (const auto& s : sighted) {
-    at = std::max(at, tunnels_[s.site]->deliver(sent_at));
+  for (; sites != 0; sites &= sites - 1) {
+    at = std::max(at, tunnels_[std::countr_zero(sites)]->deliver(sent_at));
   }
   return at;
 }
 
-std::vector<feed::SensorSighting> FederationStage::sightings_of(
-    Ipv4 src) const {
-  std::vector<feed::SensorSighting> out;
-  if (config_.num_sites == 1) return out;
-  for (const auto& s : sightings_.sightings_of(src.value())) {
-    feed::SensorSighting sighting;
-    sighting.sensor = sites_[s.site].name;
-    sighting.aperture = sites_[s.site].aperture.to_string();
-    sighting.first_seen = s.first_seen;
-    sighting.local_first_seen = s.first_seen + sites_[s.site].clock_skew;
-    sighting.packets = s.packets;
-    out.push_back(std::move(sighting));
-  }
-  return out;
+std::uint64_t FederationStage::sites_of(Ipv4 src) const {
+  const std::uint64_t* sites = site_masks_.find(src.value());
+  return sites != nullptr ? *sites : 0;
 }
 
 }  // namespace exiot::pipeline

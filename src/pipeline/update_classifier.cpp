@@ -1,7 +1,5 @@
 #include "pipeline/update_classifier.h"
 
-#include "common/log.h"
-
 namespace exiot::pipeline {
 
 UpdateClassifier::UpdateClassifier(TrainerConfig config,
@@ -77,19 +75,6 @@ std::optional<std::size_t> UpdateClassifier::retrain(TimeMicros now) {
   deployed.selected = ml::select_random_forest(data, selection, now);
   deployed.trained_at = now;
   deployed.training_examples = examples_.size();
-  if (!config_.model_dir.empty()) {
-    ml::PersistedModel persisted;
-    persisted.forest = deployed.selected.model;  // Copy for the archive.
-    persisted.normalizer = deployed.normalizer;
-    persisted.trained_at = now;
-    persisted.test_auc = deployed.selected.test_auc;
-    persisted.training_examples = deployed.training_examples;
-    ml::ModelDirectory directory(config_.model_dir);
-    if (auto saved = directory.save(persisted); !saved.ok()) {
-      EXIOT_LOG(LogLevel::kWarn, "update_classifier",
-                "model persistence failed: " + saved.error().message);
-    }
-  }
   models_.push_back(std::move(deployed));
   last_train_ = now;
   trained_c_->inc();

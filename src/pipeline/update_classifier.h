@@ -6,7 +6,6 @@
 #pragma once
 
 #include <deque>
-#include <filesystem>
 #include <limits>
 #include <optional>
 #include <vector>
@@ -24,9 +23,6 @@ struct TrainerConfig {
   TimeMicros retrain_interval = kMicrosPerDay;
   /// Minimum labeled examples (per class) before the first model trains.
   std::size_t min_examples_per_class = 25;
-  /// When non-empty, every daily model is persisted here, stamped with its
-  /// training time (the paper's reproducibility directory).
-  std::filesystem::path model_dir;
   ml::SelectionConfig selection = [] {
     ml::SelectionConfig s;
     // Banner-labeled IoT flows are a small minority of the window; train

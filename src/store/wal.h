@@ -1,8 +1,8 @@
-// A segmented append-only write-ahead log. The annotate stage's ordered
-// committer is the single producer: every record it commits (publication,
-// END_FLOW, hour boundary) is framed and appended here *before* its side
-// effects run, so a crash can lose at most the in-flight tail — never
-// misorder or corrupt what it already acknowledged.
+// A segmented append-only write-ahead log. The pipeline's calling thread is
+// the single producer: every record it commits (publication, END_FLOW,
+// hour boundary) is framed and appended here *before* its side effects
+// run, so a crash can lose at most the in-flight tail — never misorder or
+// corrupt what it already acknowledged.
 //
 // Durability contract:
 //   - Records are CRC-framed ([len][crc32][type][payload]); a torn or
@@ -72,9 +72,9 @@ Result<WalScan> read_wal(const std::filesystem::path& dir,
 
 /// The append side. `open` recovers the tail: it validates existing
 /// segments, physically truncates a torn final record, and positions after
-/// the last valid one. Appends are mutex-guarded (the committer owns the
-/// log, but the driver appends hour-boundary records between drain
-/// barriers).
+/// the last valid one. Appends are mutex-guarded; in the pipeline every
+/// append (commits and hour-boundary records alike) comes from its
+/// calling thread, in commit order.
 class WalWriter {
  public:
   static Result<std::unique_ptr<WalWriter>> open(

@@ -171,7 +171,7 @@ class CachedApiTest : public ::testing::Test {
     r.country_code = country_code;
     r.published_at = at;
     (void)feed_.publish(r, at);
-    ++sequence_;  // The committer advances exactly once per publish.
+    ++sequence_;  // The pipeline's commit advances it once per publish.
   }
 
   HttpResponse get(const std::string& target,

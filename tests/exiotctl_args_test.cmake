@@ -1,8 +1,9 @@
 # exiotctl rejects input it cannot use: each invocation below must stop
 # with a usage error (exit code 2) naming the offending flag, before
 # running anything — a zero or negative --days/--hours, a zero, negative
-# or non-finite --scale, a flag the subcommand does not read, a --port
-# outside 0..65535, an --api-timeout below 1, and serve's API limits.
+# or non-finite --scale, more --sites than a site mask holds, a flag the
+# subcommand does not read, a --port outside 0..65535, an --api-timeout
+# below 1, and serve's API limits.
 #
 #   cmake -DEXIOTCTL=path/to/exiotctl -DWORK_DIR=dir -P exiotctl_args_test.cmake
 file(REMOVE_RECURSE "${WORK_DIR}")
@@ -33,7 +34,8 @@ set(range_cases
   "metrics --scale inf"
   "capture --dir ${WORK_DIR} --hours -2"
   "capture --dir ${WORK_DIR} --hours 0"
-  "capture --dir ${WORK_DIR} --scale -0.5")
+  "capture --dir ${WORK_DIR} --scale -0.5"
+  "simulate --sites 128")
 foreach(case IN LISTS range_cases)
   expect_usage_error("${case}" "must be")
 endforeach()
@@ -46,6 +48,7 @@ expect_usage_error("simulate --annotate-workers 4"
                    "unknown flag --annotate-workers")
 expect_usage_error("replay --dir ${WORK_DIR} --scale 0.1"
                    "unknown flag --scale")
+expect_usage_error("simulate --site-skew 0,1" "unknown flag --site-skew")
 expect_usage_error("simulate --scale 0.01 --days" "--days expects a value")
 
 # serve checks every flag before it runs the pipeline: the data directory

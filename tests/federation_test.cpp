@@ -1,14 +1,16 @@
 // Tests for the telescope federation layer: aperture partitioning, the
-// per-sensor sighting ledger, the federation stage's attribution / drop
-// semantics and its input-order (stable filter) guarantee — and the
-// determinism matrix: the federated feed (export, outbox, API
-// bodies) is byte-identical across site counts {1, 2, 4} x skew profiles
-// x outage profiles x producers x shards, with
-// per-sensor first-seen attribution asserted on the multi-site runs.
+// federation stage's config validation, its source -> site-mask ledger,
+// its drop semantics and its input-order (stable filter) guarantee — and
+// the determinism matrix: the federated feed (export, outbox, API bodies)
+// is byte-identical across site counts {1, 2, 4} x outage profiles x
+// producers x shards, with every published source's site set checked on a
+// multi-site run.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <functional>
 #include <sstream>
+#include <stdexcept>
 #include <tuple>
 #include <vector>
 
@@ -50,44 +52,6 @@ TEST(PartitionTest, SplitsIntoEqualPowerOfTwoSubPrefixes) {
   EXPECT_EQ(whole[0], telescope);
 }
 
-// ------------------------------------------------------- SightingTable ----
-
-TEST(SightingTableTest, TracksPerSiteFirstSeenAndDedup) {
-  telescope::SightingTable table(4);
-  const std::uint32_t scanner = Ipv4(203, 0, 113, 9).value();
-  table.record(scanner, 2, seconds(10));
-  table.record(scanner, 2, seconds(12));
-  table.record(scanner, 0, seconds(11));
-  EXPECT_EQ(table.sources(), 1u);
-  EXPECT_EQ(table.multi_sensor_sources(), 1u);
-
-  const auto sightings = table.sightings_of(scanner);
-  ASSERT_EQ(sightings.size(), 2u);  // Site order: 0 then 2.
-  EXPECT_EQ(sightings[0].site, 0u);
-  EXPECT_EQ(sightings[0].first_seen, seconds(11));
-  EXPECT_EQ(sightings[0].packets, 1u);
-  EXPECT_EQ(sightings[1].site, 2u);
-  EXPECT_EQ(sightings[1].first_seen, seconds(10));
-  EXPECT_EQ(sightings[1].packets, 2u);
-
-  // A single-sensor source never counts as multi-sensor.
-  table.record(Ipv4(198, 51, 100, 1).value(), 1, seconds(20));
-  EXPECT_EQ(table.sources(), 2u);
-  EXPECT_EQ(table.multi_sensor_sources(), 1u);
-  EXPECT_TRUE(table.sightings_of(Ipv4(192, 0, 2, 1).value()).empty());
-}
-
-TEST(SightingTableTest, SurvivesGrowth) {
-  telescope::SightingTable table(2);
-  for (std::uint32_t i = 0; i < 5000; ++i) {
-    table.record(i * 2654435761u, i % 2, seconds(i));
-  }
-  EXPECT_EQ(table.sources(), 5000u);
-  const auto s = table.sightings_of(7 * 2654435761u);
-  ASSERT_EQ(s.size(), 1u);
-  EXPECT_EQ(s[0].first_seen, seconds(7));
-}
-
 // ----------------------------------------------------- FederationStage ----
 
 /// A source streaming one crafted batch.
@@ -98,13 +62,30 @@ FederationStage::BatchSource one_batch(const net::PacketBatch& batch) {
   };
 }
 
+TEST(FederationStageTest, RejectsSiteCountsTheMaskCannotHold) {
+  FederationConfig config;
+  config.telescope = Cidr(Ipv4(44, 0, 0, 0), 8);
+  // Not a power of two, or wider than the 64-bit site mask.
+  for (int sites : {0, 3, 128}) {
+    config.num_sites = sites;
+    EXPECT_THROW(FederationStage{config}, std::invalid_argument)
+        << "sites=" << sites;
+  }
+  config.num_sites = FederationStage::kMaxSites;
+  EXPECT_NO_THROW(FederationStage{config});
+  // Eight sites of a /30 would be /33s.
+  config.telescope = Cidr(Ipv4(44, 0, 0, 0), 30);
+  config.num_sites = 8;
+  EXPECT_THROW(FederationStage{config}, std::invalid_argument);
+  config.num_sites = 4;  // Four /32s is as fine as a split goes.
+  EXPECT_NO_THROW(FederationStage{config});
+}
+
 TEST(FederationStageTest, DemuxesRecordsAndDropsDarkApertures) {
   FederationConfig config;
   config.telescope = Cidr(Ipv4(44, 0, 0, 0), 8);
   config.num_sites = 2;
   config.active_sites = 1;  // Site 1 is dark.
-  config.sites.resize(2);
-  config.sites[1].clock_skew = seconds(7);
   obs::MetricsRegistry metrics;
   FederationStage stage(config, &metrics);
 
@@ -126,12 +107,13 @@ TEST(FederationStageTest, DemuxesRecordsAndDropsDarkApertures) {
   EXPECT_EQ(forwarded_rows, 1u);
   EXPECT_EQ(metrics.counter_value("exiot_federation_dropped_total"), 1u);
 
-  // Only the live site sighted the scanner.
-  const auto sightings = stage.sightings_of(scanner);
-  ASSERT_EQ(sightings.size(), 1u);
-  EXPECT_EQ(sightings[0].sensor, "site0");
-  EXPECT_EQ(sightings[0].aperture, "44.0.0.0/9");
-  EXPECT_EQ(sightings[0].first_seen, seconds(1));
+  // Only the live site captured the scanner, so it is no multi-sensor
+  // source.
+  EXPECT_EQ(stage.sites_of(scanner), 0b01u);
+  EXPECT_EQ(stage.site(0).aperture, Cidr(Ipv4(44, 0, 0, 0), 9));
+  EXPECT_EQ(stage.sites_of(Ipv4(192, 0, 2, 1)), 0u);  // Never captured.
+  EXPECT_EQ(metrics.gauge_value("exiot_federation_multi_sensor_sources"),
+            0.0);
 }
 
 // The single telescope's passthrough still counts what its one site
@@ -153,6 +135,7 @@ TEST(FederationStageTest, SingleSiteCountsCapturedPackets) {
   EXPECT_EQ(metrics.counter_value("exiot_federation_packets_total",
                                   {{"site", "site0"}}),
             2u);
+  EXPECT_EQ(stage.sites_of(scanner), 0u);  // The passthrough keeps no ledger.
 }
 
 // Quarter of the /8 (site at 4 sites) each row of regressing_batch()
@@ -215,34 +198,31 @@ TEST(FederationStageTest, DarkSiteFilterKeepsInputOrder) {
   EXPECT_EQ(forwarded_rows(4, 3, batch), lit);
 }
 
-TEST(FederationStageTest, SkewColorsAttributionOnly) {
+TEST(FederationStageTest, SiteMaskCountsEachMultiSensorSourceOnce) {
   FederationConfig config;
   config.num_sites = 4;
-  config.sites.resize(4);
-  config.sites[3].clock_skew = -seconds(2);
-  FederationStage stage(config);
+  obs::MetricsRegistry metrics;
+  FederationStage stage(config, &metrics);
 
+  const Ipv4 scanner(203, 0, 113, 9);
+  const Ipv4 single(198, 51, 100, 1);
   net::PacketBatch batch;
-  const Ipv4 scanner(198, 51, 100, 7);
-  batch.push_back(net::make_syn(seconds(5), scanner, Ipv4(44, 1, 0, 1),
-                                40000, 23));
-  batch.push_back(net::make_syn(seconds(6), scanner, Ipv4(44, 201, 0, 1),
+  // The scanner lands in quarters 2, 2, 0 and 3; `single` only in 1.
+  for (const std::uint8_t octet : {130, 140, 10, 200}) {
+    batch.push_back(net::make_syn(seconds(octet), scanner,
+                                  Ipv4(44, octet, 0, 1), 40000, 23));
+  }
+  batch.push_back(net::make_syn(seconds(1), single, Ipv4(44, 70, 0, 1),
                                 40001, 23));
-  std::vector<TimeMicros> merged_ts;
-  stage.run_window(one_batch(batch), [&](const net::PacketBatch& out) {
-    for (std::size_t i = 0; i < out.size(); ++i) {
-      merged_ts.push_back(out[i].ts);
-    }
-  });
-  // The merged stream keeps canonical timestamps and order.
-  EXPECT_EQ(merged_ts, (std::vector<TimeMicros>{seconds(5), seconds(6)}));
-  const auto sightings = stage.sightings_of(scanner);
-  ASSERT_EQ(sightings.size(), 2u);
-  EXPECT_EQ(sightings[0].sensor, "site0");
-  EXPECT_EQ(sightings[0].local_first_seen, seconds(5));
-  EXPECT_EQ(sightings[1].sensor, "site3");
-  EXPECT_EQ(sightings[1].first_seen, seconds(6));
-  EXPECT_EQ(sightings[1].local_first_seen, seconds(4));  // skew -2s.
+  for (int window = 0; window < 2; ++window) {
+    stage.run_window(one_batch(batch), [](const net::PacketBatch&) {});
+    EXPECT_EQ(stage.sites_of(scanner), 0b1101u);
+    EXPECT_EQ(stage.sites_of(single), 0b0010u);
+    // One source seen by three sensors, over two windows, counts once.
+    EXPECT_EQ(metrics.gauge_value("exiot_federation_multi_sensor_sources"),
+              1.0)
+        << "window " << window;
+  }
 }
 
 TEST(FederationStageTest, EventDeliveryWaitsForSlowestSightedTunnel) {
@@ -285,7 +265,6 @@ struct RunOutput {
 struct SiteProfile {
   int sites = 1;
   int active = 0;
-  std::vector<double> skew_seconds;  // Index-matched, missing = 0.
   /// One outage applied to EVERY site's tunnel (a global transport event
   /// — the only outage shape that can be feed-invariant across site
   /// counts, since per-site outages change which events are delayed).
@@ -316,15 +295,10 @@ RunOutput run_pipeline(
   pipe_config.num_sites = profile.sites;
   pipe_config.active_sites = profile.active;
   pipe_config.site_specs.resize(static_cast<std::size_t>(profile.sites));
-  for (std::size_t i = 0; i < pipe_config.site_specs.size(); ++i) {
-    if (i < profile.skew_seconds.size()) {
-      pipe_config.site_specs[i].clock_skew =
-          seconds(profile.skew_seconds[i]);
-    }
-    if (profile.global_outage.second > profile.global_outage.first) {
-      pipe_config.site_specs[i].outages.emplace_back(
-          seconds(profile.global_outage.first),
-          seconds(profile.global_outage.second));
+  if (profile.global_outage.second > profile.global_outage.first) {
+    for (SiteSpec& spec : pipe_config.site_specs) {
+      spec.outages.emplace_back(seconds(profile.global_outage.first),
+                                seconds(profile.global_outage.second));
     }
   }
   ExIotPipeline pipe(population, world, pipe_config);
@@ -366,17 +340,12 @@ TEST(FederationDeterminismTest, FeedInvariantAcrossSiteMatrix) {
   const RunOutput baseline = run_pipeline(SiteProfile{}, 1, 1);
   EXPECT_GT(baseline.records_published, 0u);
   EXPECT_FALSE(baseline.outbox.empty());
-  // Site count x skew profile x producers x shards: demuxing the
-  // canonical stream across N sensors and re-merging the union must
-  // reconstruct it exactly, and skew never reaches the feed.
-  for (const auto& [sites, skews, producers, shards] :
-       {std::tuple{2, std::vector<double>{}, 1, 1},
-        std::tuple{2, std::vector<double>{3.0, -2.0}, 2, 2},
-        std::tuple{4, std::vector<double>{}, 2, 2},
-        std::tuple{4, std::vector<double>{1.0, 0.0, -5.0, 60.0}, 2, 2}}) {
+  // Site count x producers x shards: demuxing the canonical stream across
+  // N sensors and re-merging the union must reconstruct it exactly.
+  for (const auto& [sites, producers, shards] :
+       {std::tuple{2, 1, 1}, std::tuple{2, 2, 2}, std::tuple{4, 2, 2}}) {
     SiteProfile profile;
     profile.sites = sites;
-    profile.skew_seconds = skews;
     const RunOutput run = run_pipeline(profile, producers, shards);
     EXPECT_EQ(baseline.feed, run.feed)
         << "sites=" << sites << " producers=" << producers
@@ -413,35 +382,25 @@ TEST(FederationDeterminismTest, GlobalOutageProfileInvariantAcrossSites) {
 TEST(FederationAttributionTest, RecordsCarryPerSensorFirstSeen) {
   SiteProfile profile;
   profile.sites = 4;
-  profile.skew_seconds = {0.0, 2.0, 0.0, -3.0};
   const RunOutput run =
       run_pipeline(profile, 1, 1, [&](ExIotPipeline& pipe) {
         // Random /8-wide scanners land in several sites' apertures: the
-        // ledger must dedup them into one source carrying a multi-sensor
-        // sighting list, with local first-seen = canonical + site skew.
-        EXPECT_GT(pipe.federation().sighting_table().multi_sensor_sources(),
-                  0u);
+        // ledger dedups each into one source whose mask names every site
+        // that captured it.
+        const double multi_sensor_sources = pipe.metrics().gauge_value(
+            "exiot_federation_multi_sensor_sources");
         std::size_t multi_sensor_records = 0;
         for (const auto& record :
              pipe.feed().published_between(0, hours(24 * 365))) {
-          const auto sightings = pipe.federation().sightings_of(record.src);
-          ASSERT_FALSE(sightings.empty())
-              << "published record without attribution: "
-              << record.src.to_string();
-          if (sightings.size() > 1) ++multi_sensor_records;
-          for (const auto& s : sightings) {
-            const std::size_t site =
-                static_cast<std::size_t>(s.sensor.back() - '0');
-            ASSERT_LT(site, profile.skew_seconds.size());
-            EXPECT_EQ(s.local_first_seen,
-                      s.first_seen + seconds(profile.skew_seconds[site]))
-                << "sensor " << s.sensor;
-            EXPECT_GT(s.packets, 0u);
-            // The claimed aperture is one of the four /10 quarters.
-            EXPECT_EQ(Cidr::parse(s.aperture)->prefix_len(), 10);
-          }
+          const std::uint64_t sites = pipe.federation().sites_of(record.src);
+          ASSERT_NE(sites, 0u) << "published record no site captured: "
+                               << record.src.to_string();
+          EXPECT_LT(sites, 1u << profile.sites) << record.src.to_string();
+          if (std::popcount(sites) > 1) ++multi_sensor_records;
         }
         EXPECT_GT(multi_sensor_records, 0u);
+        EXPECT_GE(multi_sensor_sources,
+                  static_cast<double>(multi_sensor_records));
       });
   EXPECT_GT(run.records_published, 0u);
 }

@@ -398,6 +398,32 @@ TEST(SourceTableTest, FindOrInsertNewAndExistingKeys) {
   EXPECT_EQ(t.find_or_insert(2999).a, 2999u);
 }
 
+TEST(SourceTableTest, FindReadsWithoutInserting) {
+  SourceTable<Cell> t;
+  const SourceTable<Cell>& view = t;
+  EXPECT_EQ(view.find(7), nullptr);  // Empty table: no slots yet.
+  for (std::uint32_t k = 1; k <= 500; ++k) t.find_or_insert(k).a = k;
+  ASSERT_NE(view.find(7), nullptr);
+  EXPECT_EQ(view.find(7)->a, 7u);
+  EXPECT_EQ(view.find(7), &t.find_or_insert(7));
+  EXPECT_EQ(view.find(501), nullptr);  // Absent.
+  EXPECT_EQ(t.size(), 500u);           // find never inserts.
+  // Tombstoned keys read as absent; the probe runs past their slots to
+  // the live keys behind them.
+  t.erase_if([](std::uint32_t key, const Cell&) { return key % 2 == 0; });
+  for (std::uint32_t k = 1; k <= 500; ++k) {
+    const Cell* cell = view.find(k);
+    if (k % 2 == 0) {
+      EXPECT_EQ(cell, nullptr) << k;
+    } else {
+      ASSERT_NE(cell, nullptr) << k;
+      EXPECT_EQ(cell->a, k);
+    }
+  }
+  t.clear();
+  EXPECT_EQ(view.find(9), nullptr);  // Emptied, with slots allocated.
+}
+
 TEST(SourceTableTest, EraseIfTombstonesAndCountsSize) {
   SourceTable<Cell> t;
   for (std::uint32_t k = 1; k <= 500; ++k) t.find_or_insert(k).a = k;

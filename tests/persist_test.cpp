@@ -1,9 +1,5 @@
-// Tests for model persistence: JSON round trips of normalizer and forest,
-// and the timestamped model directory.
+// Tests for model persistence: JSON round trips of normalizer and forest.
 #include <gtest/gtest.h>
-
-#include <filesystem>
-#include <unistd.h>
 
 #include "common/rng.h"
 #include "ml/metrics.h"
@@ -11,8 +7,6 @@
 
 namespace exiot::ml {
 namespace {
-
-namespace fs = std::filesystem;
 
 Dataset gaussian_problem(int n, std::uint64_t seed) {
   Rng rng(seed);
@@ -86,64 +80,6 @@ TEST(PersistTest, RejectsMalformedDocuments) {
   forest["trees"] = json::Array{tree};
   bad["forest"] = forest;
   EXPECT_FALSE(model_from_json(bad).ok());
-}
-
-class ModelDirectoryTest : public ::testing::Test {
- protected:
-  void SetUp() override {
-    dir_ = fs::temp_directory_path() /
-           ("exiot_models_" + std::to_string(::getpid()));
-    fs::remove_all(dir_);
-  }
-  void TearDown() override { fs::remove_all(dir_); }
-
-  PersistedModel make_model(TimeMicros trained_at, std::uint64_t seed) {
-    auto data = gaussian_problem(150, seed);
-    PersistedModel model;
-    model.normalizer = Normalizer::fit(data.rows);
-    ForestParams params;
-    params.num_trees = 10;
-    model.forest = RandomForest::train(data, params, seed);
-    model.trained_at = trained_at;
-    model.training_examples = 150;
-    return model;
-  }
-
-  fs::path dir_;
-};
-
-TEST_F(ModelDirectoryTest, SaveListLoad) {
-  ModelDirectory models(dir_);
-  for (int day = 1; day <= 3; ++day) {
-    auto saved = models.save(make_model(day * kMicrosPerDay, day));
-    ASSERT_TRUE(saved.ok()) << saved.error().message;
-    EXPECT_TRUE(fs::exists(saved.value()));
-  }
-  auto files = models.list();
-  ASSERT_EQ(files.size(), 3u);
-  // Ascending by training time.
-  auto first = models.load(files[0]);
-  auto last = models.load(files[2]);
-  ASSERT_TRUE(first.ok());
-  ASSERT_TRUE(last.ok());
-  EXPECT_LT(first.value().trained_at, last.value().trained_at);
-}
-
-TEST_F(ModelDirectoryTest, LoadAtPicksContemporaryModel) {
-  ModelDirectory models(dir_);
-  for (int day = 1; day <= 3; ++day) {
-    ASSERT_TRUE(models.save(make_model(day * kMicrosPerDay, day)).ok());
-  }
-  auto model = models.load_at(2 * kMicrosPerDay + hours(5));
-  ASSERT_TRUE(model.ok());
-  EXPECT_EQ(model.value().trained_at, 2 * kMicrosPerDay);
-  EXPECT_FALSE(models.load_at(hours(1)).ok());  // Before any model.
-}
-
-TEST_F(ModelDirectoryTest, EmptyDirectory) {
-  ModelDirectory models(dir_);
-  EXPECT_TRUE(models.list().empty());
-  EXPECT_FALSE(models.load_at(kMicrosPerDay).ok());
 }
 
 }  // namespace

@@ -5,11 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <filesystem>
 #include <sstream>
 #include <stdexcept>
 #include <thread>
-#include <unistd.h>
 
 #include "common/rng.h"
 #include "feed/export.h"
@@ -728,36 +726,6 @@ TEST(UpdateClassifierTest, SlidingWindowPrunesOldExamples) {
   // only one class -> no model.
   EXPECT_FALSE(trainer.retrain(20 * kMicrosPerDay).has_value());
   EXPECT_EQ(trainer.window_size(), 20u);
-}
-
-TEST(UpdateClassifierTest, PersistsDailyModelsWhenConfigured) {
-  const auto dir = std::filesystem::temp_directory_path() /
-                   ("exiot_trainer_models_" + std::to_string(::getpid()));
-  std::filesystem::remove_all(dir);
-  TrainerConfig config;
-  config.min_examples_per_class = 5;
-  config.selection.search_iterations = 1;
-  config.model_dir = dir;
-  UpdateClassifier trainer(config);
-  Rng rng(7);
-  for (int i = 0; i < 30; ++i) {
-    trainer.add_example(hours(1), feature_for(1, rng), 1);
-    trainer.add_example(hours(1), feature_for(0, rng), 0);
-  }
-  ASSERT_TRUE(trainer.retrain(hours(2)).has_value());
-  ml::ModelDirectory directory(dir);
-  ASSERT_EQ(directory.list().size(), 1u);
-  auto loaded = directory.load_at(hours(3));
-  ASSERT_TRUE(loaded.ok());
-  EXPECT_EQ(loaded.value().trained_at, hours(2));
-  // The archived model scores exactly like the deployed one.
-  Rng probe(8);
-  auto raw = feature_for(1, probe);
-  EXPECT_DOUBLE_EQ(
-      loaded.value().forest.predict_score(
-          loaded.value().normalizer.transform(raw)),
-      trainer.latest()->score(raw));
-  std::filesystem::remove_all(dir);
 }
 
 TEST(UpdateClassifierTest, ModelAtTimeSelectsContemporary) {

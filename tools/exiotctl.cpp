@@ -12,8 +12,7 @@
 //                      [--producers N] [--shards N] [--buffer N]
 //                      [--batch-size N]
 //                      [--sites N] [--active-sites K]
-//                      [--site-skew S0,S1,...] [--site-outage IDX:FROM:TO]
-//                      [--site-reconnect S]
+//                      [--site-outage IDX:FROM:TO] [--site-reconnect S]
 //                      [--trace-sample R] [--watchdog-deadline MS]
 //                      [--data-dir DIR] [--wal-segment-bytes N]
 //                      [--snapshot-interval H] [--wal-fsync none|roll|always]
@@ -35,15 +34,14 @@
 //       --wal-segment-bytes caps segment size before rolling to a new
 //       file; --wal-fsync picks the fsync policy (default roll: fsync on
 //       segment roll and shutdown). --sites federates the telescope into
-//       N sensor sites (power of two; equal consecutive sub-prefixes of
-//       the aperture), each with its own tunnel and clock; the merged
-//       feed is byte-identical for any --sites value. --active-sites
-//       keeps only the first K sites capturing (a smaller effective
-//       aperture); --site-skew sets per-site clock skews in seconds
-//       (comma list, attribution only — never feed bytes);
-//       --site-outage IDX:FROM:TO (repeatable, seconds) injects a tunnel
-//       outage at one site; --site-reconnect sets every site's tunnel
-//       re-establishment delay in seconds (default 5).
+//       N sensor sites (a power of two up to 64; equal consecutive
+//       sub-prefixes of the aperture), each with its own tunnel; the
+//       merged feed is byte-identical for any --sites value.
+//       --active-sites keeps only the first K sites capturing (a smaller
+//       effective aperture); --site-outage IDX:FROM:TO (repeatable,
+//       seconds) injects a tunnel outage at one site; --site-reconnect
+//       sets every site's tunnel re-establishment delay in seconds
+//       (default 5).
 //   exiotctl query     --jsonl FILE --q EXPR
 //       Evaluate a query-builder expression over an exported feed.
 //   exiotctl fingerprint --banner TEXT
@@ -242,8 +240,7 @@ std::vector<std::string_view> with_pipeline_flags(
       "--trace-sample", "--watchdog-deadline",
       "--data-dir", "--wal-segment-bytes", "--snapshot-interval",
       "--wal-fsync",
-      "--sites", "--active-sites", "--site-reconnect", "--site-skew",
-      "--site-outage"};
+      "--sites", "--active-sites", "--site-reconnect", "--site-outage"};
   flags.insert(flags.end(), own);
   return flags;
 }
@@ -285,9 +282,11 @@ void apply_pipeline_flags(const Args& args,
   // (power of two), optionally capturing on only the first --active-sites
   // of them; the merged feed is byte-identical for any --sites value.
   config.num_sites = args.get_positive_int("--sites", 1);
-  if ((config.num_sites & (config.num_sites - 1)) != 0) {
-    std::fprintf(stderr, "exiotctl: --sites must be a power of two, got %d\n",
-                 config.num_sites);
+  if (!telescope::is_power_of_two(config.num_sites) ||
+      config.num_sites > pipeline::FederationStage::kMaxSites) {
+    std::fprintf(stderr,
+                 "exiotctl: --sites must be a power of two in 1..%d, got %d\n",
+                 pipeline::FederationStage::kMaxSites, config.num_sites);
     std::exit(2);
   }
   config.active_sites = args.get_int("--active-sites", 0);
@@ -302,31 +301,6 @@ void apply_pipeline_flags(const Args& args,
   const double reconnect = args.get_double("--site-reconnect", 5.0);
   for (auto& spec : config.site_specs) {
     spec.reconnect_delay = seconds(reconnect);
-  }
-  // --site-skew "0,1.5,-2,0": per-site clock skew in seconds, comma list
-  // (shorter lists leave the remaining sites unskewed).
-  const std::string skews = args.get("--site-skew");
-  if (!skews.empty()) {
-    std::size_t site = 0, pos = 0;
-    while (pos <= skews.size() &&
-           site < static_cast<std::size_t>(config.num_sites)) {
-      const std::size_t comma = skews.find(',', pos);
-      const std::string item = skews.substr(
-          pos, comma == std::string::npos ? std::string::npos : comma - pos);
-      double parsed = 0.0;
-      const auto [ptr, ec] = std::from_chars(
-          item.data(), item.data() + item.size(), parsed);
-      if (ec != std::errc{} || ptr != item.data() + item.size()) {
-        std::fprintf(stderr,
-                     "exiotctl: --site-skew expects comma-separated "
-                     "seconds, got \"%s\"\n",
-                     skews.c_str());
-        std::exit(2);
-      }
-      config.site_specs[site++].clock_skew = seconds(parsed);
-      if (comma == std::string::npos) break;
-      pos = comma + 1;
-    }
   }
   // --site-outage IDX:FROM:TO (seconds, repeatable): inject a tunnel
   // outage at one site.
