@@ -397,19 +397,11 @@ int main() {
   std::printf("%8s %12s %10s %10s %12s\n", "workers", "req/s", "speedup",
               "served", "mismatched");
 
-  std::FILE* json = benchx::open_bench_json("BENCH_api.json");
-  if (json != nullptr) {
-    std::fprintf(json,
-                 "{\n  \"bench\": \"api_concurrency\",\n"
-                 "  \"records\": %d,\n  \"clients\": %d,\n"
-                 "  \"requests_each\": %d,\n  \"hardware_threads\": %u,\n"
-                 "  \"workers\": [",
-                 records, clients, requests_each,
-                 std::thread::hardware_concurrency());
-  }
-
+  json::Object doc{{"records", records},
+                   {"clients", clients},
+                   {"requests_each", requests_each}};
+  json::Array worker_rows;
   double base = 0.0;
-  bool first = true;
   std::size_t total_mismatched = 0;
   for (const int workers : {1, 2, 4, 8}) {
     RunResult best;
@@ -423,17 +415,15 @@ int main() {
     std::printf("%8d %12.0f %9.2fx %10zu %12zu\n", workers, best.rps,
                 base > 0.0 ? best.rps / base : 0.0, best.served,
                 best.mismatched);
-    if (json != nullptr) {
-      std::fprintf(json,
-                   "%s\n    {\"workers\": %d, \"rps\": %.0f, "
-                   "\"speedup\": %.3f, \"served\": %zu, "
-                   "\"mismatched\": %zu}",
-                   first ? "" : ",", workers, best.rps,
-                   base > 0.0 ? best.rps / base : 0.0, best.served,
-                   best.mismatched);
-    }
-    first = false;
+    json::Object row{
+        {"workers", workers},
+        {"rps", benchx::fixed(best.rps)},
+        {"speedup", benchx::fixed(base > 0.0 ? best.rps / base : 0.0, 3)},
+        {"served", benchx::integer(best.served)},
+        {"mismatched", benchx::integer(best.mismatched)}};
+    worker_rows.emplace_back(std::move(row));
   }
+  doc["workers"] = std::move(worker_rows);
 
   // ---- Response cache: the cacheable targets with and without the
   // sequence-keyed cache attached (the feed is static here, so every
@@ -468,18 +458,19 @@ int main() {
               uncached.served, "-");
   std::printf("%8s %12.0f %9.2fx %10zu %11.1f%%\n", "on", with_cache.rps,
               cache_speedup, with_cache.served, 100.0 * hit_rate);
-  if (json != nullptr) {
-    std::fprintf(json,
-                 "\n  ],\n  \"cache\": [\n"
-                 "    {\"cache\": \"off\", \"workers\": 4, \"rps\": %.0f, "
-                 "\"served\": %zu, \"mismatched\": %zu},\n"
-                 "    {\"cache\": \"on\", \"workers\": 4, \"rps\": %.0f, "
-                 "\"served\": %zu, \"mismatched\": %zu, "
-                 "\"speedup\": %.3f, \"hit_rate\": %.4f}",
-                 uncached.rps, uncached.served, uncached.mismatched,
-                 with_cache.rps, with_cache.served, with_cache.mismatched,
-                 cache_speedup, hit_rate);
-  }
+  json::Object cache_off{{"cache", "off"},
+                         {"workers", 4},
+                         {"rps", benchx::fixed(uncached.rps)},
+                         {"served", benchx::integer(uncached.served)},
+                         {"mismatched", benchx::integer(uncached.mismatched)}};
+  json::Object cache_on{{"cache", "on"},
+                        {"workers", 4},
+                        {"rps", benchx::fixed(with_cache.rps)},
+                        {"served", benchx::integer(with_cache.served)},
+                        {"mismatched", benchx::integer(with_cache.mismatched)},
+                        {"speedup", benchx::fixed(cache_speedup, 3)},
+                        {"hit_rate", benchx::fixed(hit_rate, 4)}};
+  doc["cache"] = json::Array{std::move(cache_off), std::move(cache_on)};
 
   // ---- Soak: thousands of idle keep-alive connections parked on the
   // loops while a small active set drives traffic.
@@ -505,24 +496,23 @@ int main() {
               "(~%.0f B/conn)\n",
               "resident memory", soak.rss_before_kb, soak.rss_idle_kb,
               soak.rss_end_kb, idle_bytes);
-  if (json != nullptr) {
-    std::fprintf(json,
-                 "\n  ],\n  \"soak\": [\n"
-                 "    {\"conns\": %d, \"idle_conns\": %zu, \"loops\": %d, "
-                 "\"active_clients\": %d, \"requests_each\": %d, "
-                 "\"rps\": %.0f, \"served\": %zu, \"mismatched\": %zu, "
-                 "\"p50_us\": %ld, \"p95_us\": %ld, \"p99_us\": %ld, "
-                 "\"rss_before_kb\": %ld, \"rss_idle_kb\": %ld, "
-                 "\"rss_end_kb\": %ld}\n  ]\n}\n",
-                 soak_conns, soak.idle_conns, soak_loops, soak_active,
-                 soak_reqs,
-                 soak.rps, soak.served, soak.mismatched, soak.p50_us,
-                 soak.p95_us, soak.p99_us, soak.rss_before_kb,
-                 soak.rss_idle_kb, soak.rss_end_kb);
-    std::fclose(json);
-    std::printf("\nwrote %s\n",
-                benchx::bench_json_path("BENCH_api.json").c_str());
-  }
+  json::Object soak_row{{"conns", soak_conns},
+                        {"idle_conns", benchx::integer(soak.idle_conns)},
+                        {"loops", soak_loops},
+                        {"active_clients", soak_active},
+                        {"requests_each", soak_reqs},
+                        {"rps", benchx::fixed(soak.rps)},
+                        {"served", benchx::integer(soak.served)},
+                        {"mismatched", benchx::integer(soak.mismatched)},
+                        {"p50_us", benchx::integer(soak.p50_us)},
+                        {"p95_us", benchx::integer(soak.p95_us)},
+                        {"p99_us", benchx::integer(soak.p99_us)},
+                        {"rss_before_kb", benchx::integer(soak.rss_before_kb)},
+                        {"rss_idle_kb", benchx::integer(soak.rss_idle_kb)},
+                        {"rss_end_kb", benchx::integer(soak.rss_end_kb)}};
+  doc["soak"] = json::Array{std::move(soak_row)};
+  benchx::write_bench_json("BENCH_api.json", "api_concurrency", std::nullopt,
+                           std::move(doc));
   std::printf("\nspeedup >= 2x at 4 workers expected on >=4 cores; cache "
               ">= 5x on the cacheable targets; mismatched must be 0 "
               "everywhere (responses are byte-identical to the serial "

@@ -20,13 +20,16 @@
 //
 //   ./bench_federation            (EXIOT_SCALE=0.2 EXIOT_SEED=42)
 //
+// The timed rows follow benchx::best_rate; one call is a whole pipeline
+// day, so a coverage row is one run and a merge row the best of 3.
+//
 // Results go to BENCH_federation.json for the perf trajectory
 // (tools/check_bench_regression.sh keys rows by "sites"/"coverage"/
 // "profile", gates the records_per_s / pps values against a floor, and
 // requires the deterministic packet, scanner, record and latency columns
 // to equal the baseline).
-#include <chrono>
 #include <cstdio>
+#include <memory>
 #include <vector>
 
 #include "bench_common.h"
@@ -35,14 +38,8 @@ using namespace exiot;
 
 namespace {
 
-double now_seconds(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       start)
-      .count();
-}
-
 struct Run {
-  double elapsed = 0.0;
+  double seconds = 0.0;
   std::uint64_t packets = 0;
   std::uint64_t scanners = 0;
   std::uint64_t records = 0;
@@ -52,12 +49,16 @@ struct Run {
 
 Run run_federated(const benchx::Sim& sim, int days,
                   pipeline::PipelineConfig config) {
-  const auto start = std::chrono::steady_clock::now();
-  auto pipe = benchx::run_pipeline(sim, days, config);
+  std::unique_ptr<pipeline::ExIotPipeline> pipe;
+  const benchx::Timed timed = benchx::timed([&] {
+    pipe = benchx::run_pipeline(sim, days, config);
+    return pipe->metrics().counter_value(
+        "exiot_detector_packets_processed_total");
+  });
   Run run;
-  run.elapsed = now_seconds(start);
+  run.seconds = timed.seconds;
+  run.packets = timed.items;
   const obs::MetricsRegistry& m = pipe->metrics();
-  run.packets = m.counter_value("exiot_detector_packets_processed_total");
   run.scanners = m.counter_value("exiot_detector_scanners_detected_total");
   run.records = m.counter_value("exiot_feed_records_published_total");
   double sum_h = 0.0;
@@ -87,28 +88,25 @@ int main() {
   const int days = 1;
   const benchx::Sim sim = benchx::make_sim(scale, days);
 
-  std::FILE* json = benchx::open_bench_json("BENCH_federation.json");
-  if (json != nullptr) {
-    std::fprintf(json,
-                 "{\n  \"bench\": \"federation\",\n"
-                 "  \"scale\": %.3f,\n  \"seed\": %llu,\n",
-                 scale, static_cast<unsigned long long>(benchx::env_seed()));
-  }
-
+  json::Object doc;
   benchx::heading(
       "coverage: marginal detection value per added aperture (8 sites)");
   std::printf("%10s %12s %10s %10s %12s %14s\n", "active", "packets",
               "scanners", "records", "marginal", "records/s");
-  if (json != nullptr) std::fprintf(json, "  \"coverage\": [");
+  json::Array coverage;
   std::uint64_t prev_records = 0;
   int prev_active = 0;
-  bool first = true;
   for (int active : {1, 2, 4, 8}) {
     pipeline::PipelineConfig config;
     config.num_sites = 8;
     config.active_sites = active;
-    const Run run = run_federated(sim, days, config);
-    const double rps = double(run.records) / run.elapsed;
+    Run run;
+    const double rps = benchx::best_rate(
+        [&] {
+          run = run_federated(sim, days, config);
+          return benchx::Timed{run.records, run.seconds};
+        },
+        1);
     // Records bought per newly-activated site relative to the previous row.
     const double marginal =
         double(run.records - prev_records) / double(active - prev_active);
@@ -116,23 +114,18 @@ int main() {
                 static_cast<unsigned long long>(run.packets),
                 static_cast<unsigned long long>(run.scanners),
                 static_cast<unsigned long long>(run.records), marginal, rps);
-    if (json != nullptr) {
-      std::fprintf(json,
-                   "%s\n    {\"sites\": 8, \"coverage\": %d, "
-                   "\"packets\": %llu, \"scanners\": %llu, "
-                   "\"records\": %llu, \"marginal_records_per_site\": %.1f, "
-                   "\"records_per_s\": %.0f}",
-                   first ? "" : ",", active,
-                   static_cast<unsigned long long>(run.packets),
-                   static_cast<unsigned long long>(run.scanners),
-                   static_cast<unsigned long long>(run.records), marginal,
-                   rps);
-    }
+    json::Object row{{"sites", 8},
+                     {"coverage", active},
+                     {"packets", benchx::integer(run.packets)},
+                     {"scanners", benchx::integer(run.scanners)},
+                     {"records", benchx::integer(run.records)},
+                     {"marginal_records_per_site", benchx::fixed(marginal, 1)},
+                     {"records_per_s", benchx::fixed(rps)}};
+    coverage.emplace_back(std::move(row));
     prev_records = run.records;
     prev_active = active;
-    first = false;
   }
-  if (json != nullptr) std::fprintf(json, "\n  ],\n");
+  doc["coverage"] = std::move(coverage);
 
   benchx::heading("outage: detection latency by outage profile (2 sites)");
   const OutageProfile kProfiles[] = {
@@ -148,8 +141,7 @@ int main() {
   };
   std::printf("%10s %10s %16s %16s\n", "profile", "records", "mean latency",
               "max latency");
-  if (json != nullptr) std::fprintf(json, "  \"outage\": [");
-  first = true;
+  json::Array outage;
   for (const OutageProfile& profile : kProfiles) {
     pipeline::PipelineConfig config;
     config.num_sites = 2;
@@ -163,50 +155,39 @@ int main() {
     std::printf("%10s %10llu %14.2f h %14.2f h\n", profile.name,
                 static_cast<unsigned long long>(run.records),
                 run.mean_latency_h, run.max_latency_h);
-    if (json != nullptr) {
-      std::fprintf(json,
-                   "%s\n    {\"sites\": 2, \"profile\": \"%s\", "
-                   "\"records\": %llu, \"mean_latency_h\": %.3f, "
-                   "\"max_latency_h\": %.3f}",
-                   first ? "" : ",", profile.name,
-                   static_cast<unsigned long long>(run.records),
-                   run.mean_latency_h, run.max_latency_h);
-    }
-    first = false;
+    json::Object row{{"sites", 2},
+                     {"profile", profile.name},
+                     {"records", benchx::integer(run.records)},
+                     {"mean_latency_h", benchx::fixed(run.mean_latency_h, 3)},
+                     {"max_latency_h", benchx::fixed(run.max_latency_h, 3)}};
+    outage.emplace_back(std::move(row));
   }
-  if (json != nullptr) std::fprintf(json, "\n  ],\n");
+  doc["outage"] = std::move(outage);
 
   benchx::heading(
       "merge: federation filter hot-path pps by site count (all active)");
   std::printf("%10s %12s %14s\n", "sites", "packets", "pps");
-  if (json != nullptr) std::fprintf(json, "  \"merge\": [");
-  first = true;
+  json::Array merge;
   for (int sites : {1, 2, 4, 8}) {
     pipeline::PipelineConfig config;
     config.num_sites = sites;
-    Run best;
-    for (int rep = 0; rep < 3; ++rep) {
-      Run run = run_federated(sim, days, config);
-      if (best.elapsed == 0.0 || run.elapsed < best.elapsed) best = run;
-    }
-    const double pps = double(best.packets) / best.elapsed;
+    Run run;
+    const double pps = benchx::best_rate(
+        [&] {
+          run = run_federated(sim, days, config);
+          return benchx::Timed{run.packets, run.seconds};
+        },
+        3);
     std::printf("%10d %12llu %14.0f\n", sites,
-                static_cast<unsigned long long>(best.packets), pps);
-    if (json != nullptr) {
-      std::fprintf(json,
-                   "%s\n    {\"sites\": %d, \"packets\": %llu, "
-                   "\"pps\": %.0f}",
-                   first ? "" : ",", sites,
-                   static_cast<unsigned long long>(best.packets), pps);
-    }
-    first = false;
+                static_cast<unsigned long long>(run.packets), pps);
+    json::Object row{{"sites", sites},
+                     {"packets", benchx::integer(run.packets)},
+                     {"pps", benchx::fixed(pps)}};
+    merge.emplace_back(std::move(row));
   }
-  if (json != nullptr) {
-    std::fprintf(json, "\n  ]\n}\n");
-    std::fclose(json);
-    std::printf("\nwrote %s\n",
-                benchx::bench_json_path("BENCH_federation.json").c_str());
-  }
+  doc["merge"] = std::move(merge);
+  benchx::write_bench_json("BENCH_federation.json", "federation", scale,
+                           std::move(doc));
   std::printf("\nexpected: coverage grows detections sub-linearly (fast "
               "scanners hit every aperture); a single-site outage only "
               "delays records sighted by that sensor; sites=1 pps matches "

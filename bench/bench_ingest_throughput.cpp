@@ -11,18 +11,16 @@
 //
 //   ./bench_ingest_throughput            (EXIOT_SCALE=0.2 EXIOT_SEED=42)
 //
-// Every cell is the best of kReps repetitions, and each repetition times
-// back-to-back hours until it holds kMinRepSeconds of work: one hour is
-// only ~20 ms here, too short to time on a loaded host.
+// Every cell follows benchx::best_rate: the best of 5 repetitions, each
+// timing back-to-back hours until it holds >= 0.3 s of work (one hour is
+// only ~20 ms here, too short to time on a loaded host).
 //
 // Both tables are also written to BENCH_ingest.json for the perf
 // trajectory. Speedups are relative to the single-threaded configuration
 // and can only materialize on multi-core hardware — the binary prints the
 // core count alongside so single-core CI numbers are not misread as a
 // regression.
-#include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <thread>
 #include <vector>
 
@@ -38,40 +36,8 @@ using namespace exiot;
 
 namespace {
 
-double env_double(const char* name, double fallback) {
-  const char* value = std::getenv(name);
-  return value != nullptr ? std::atof(value) : fallback;
-}
-
 /// Rows per replayed batch: the pipeline's default producer_batch_size.
 constexpr std::size_t kReplayBatch = 1024;
-
-/// Repetitions per cell, and the timed work each repetition holds.
-constexpr int kReps = 5;
-constexpr double kMinRepSeconds = 0.3;
-
-/// Packets moved by one timed run, and its wall time.
-struct Timed {
-  std::size_t packets = 0;
-  double seconds = 0.0;
-};
-
-/// Best-of-kReps packets per second of `run() -> Timed`, each repetition
-/// summing back-to-back runs until it holds kMinRepSeconds of timed work.
-template <typename Run>
-double best_pps(Run&& run) {
-  double best = 0.0;
-  for (int rep = 0; rep < kReps; ++rep) {
-    double packets = 0.0, seconds = 0.0;
-    while (seconds < kMinRepSeconds) {
-      const Timed timed = run();
-      packets += static_cast<double>(timed.packets);
-      seconds += timed.seconds;
-    }
-    if (packets / seconds > best) best = packets / seconds;
-  }
-  return best;
-}
 
 pipeline::ThreadedIngest make_ingest(int shards) {
   pipeline::IngestConfig config;
@@ -91,22 +57,21 @@ struct Hour {
   std::size_t packets = 0;
 };
 
-Timed run_replay(const Hour& hour, int shards) {
+benchx::Timed run_replay(const Hour& hour, int shards) {
   pipeline::ThreadedIngest ingest = make_ingest(shards);
-  const auto start = std::chrono::steady_clock::now();
-  ingest.run_hour_batched(
-      [&hour](const pipeline::ThreadedIngest::BatchFn& fn) {
-        for (const net::PacketBatch& batch : hour.batches) fn(batch);
-        return hour.packets;
-      },
-      kMicrosPerHour);
-  ingest.finish();
-  return {hour.packets, std::chrono::duration<double>(
-                            std::chrono::steady_clock::now() - start)
-                            .count()};
+  return benchx::timed([&] {
+    const std::size_t n = ingest.run_hour_batched(
+        [&hour](const pipeline::ThreadedIngest::BatchFn& fn) {
+          for (const net::PacketBatch& batch : hour.batches) fn(batch);
+          return hour.packets;
+        },
+        kMicrosPerHour);
+    ingest.finish();
+    return n;
+  });
 }
 
-Timed run_live(const inet::Population& population, Cidr aperture,
+benchx::Timed run_live(const inet::Population& population, Cidr aperture,
                 int producers, int shards, std::size_t* packets_out,
                 obs::Tracer* tracer = nullptr) {
   pipeline::ProducerConfig producer_config;
@@ -120,29 +85,29 @@ Timed run_live(const inet::Population& population, Cidr aperture,
   pipeline::ThreadedIngest ingest(ingest_config, flow::DetectorConfig{},
                                   flow::DetectorEvents{},
                                   probe::table1_ports(), nullptr, tracer);
-  const auto start = std::chrono::steady_clock::now();
   // Live runs take the batch path end to end (synthesis into batch rows,
   // one detector call per row), the same route ExIotPipeline::run_hours
   // drives in production.
-  const std::size_t count = ingest.run_hour_batched(
-      [&producer](const pipeline::ThreadedIngest::BatchFn& fn) {
-        return producer.emit_batches(0, kMicrosPerHour, 1024, fn);
-      },
-      kMicrosPerHour);
-  ingest.finish();
-  if (packets_out != nullptr) *packets_out = count;
-  return {count, std::chrono::duration<double>(
-                     std::chrono::steady_clock::now() - start)
-                     .count()};
+  const benchx::Timed timed = benchx::timed([&] {
+    const std::size_t n = ingest.run_hour_batched(
+        [&producer](const pipeline::ThreadedIngest::BatchFn& fn) {
+          return producer.emit_batches(0, kMicrosPerHour, 1024, fn);
+        },
+        kMicrosPerHour);
+    ingest.finish();
+    return n;
+  });
+  if (packets_out != nullptr) *packets_out = timed.items;
+  return timed;
 }
 
 }  // namespace
 
 int main() {
-  const double scale = env_double("EXIOT_SCALE", 0.2);
-  const auto seed = static_cast<std::uint64_t>(env_double("EXIOT_SEED", 42));
+  const double scale = benchx::env_double("EXIOT_SCALE", 0.2);
+  const std::uint64_t seed = benchx::env_seed();
 
-  const Cidr aperture(Ipv4(44, 0, 0, 0), 8);
+  const Cidr aperture = benchx::aperture();
   auto world = inet::WorldModel::standard(aperture);
   inet::PopulationConfig config;
   config.seed = seed;
@@ -163,46 +128,33 @@ int main() {
               static_cast<unsigned long long>(seed),
               std::thread::hardware_concurrency());
 
-  std::FILE* json = benchx::open_bench_json("BENCH_ingest.json");
-  if (json != nullptr) {
-    std::fprintf(json,
-                 "{\n  \"bench\": \"ingest_throughput\",\n"
-                 "  \"scale\": %.3f,\n  \"seed\": %llu,\n"
-                 "  \"hardware_threads\": %u,\n  \"hour_packets\": %zu,\n",
-                 scale, static_cast<unsigned long long>(seed),
-                 std::thread::hardware_concurrency(), hour.packets);
-  }
+  json::Object doc{{"hour_packets", benchx::integer(hour.packets)}};
 
   std::printf("replay (pre-synthesized hour; detector sharding only)\n");
   std::printf("%8s %14s %10s\n", "shards", "pps", "speedup");
-  if (json != nullptr) std::fprintf(json, "  \"replay\": [");
+  json::Array replay;
   double base = 0.0;
-  bool first = true;
   for (const int shards : {1, 2, 4, 8}) {
     const double best =
-        best_pps([&hour, shards] { return run_replay(hour, shards); });
+        benchx::best_rate([&hour, shards] { return run_replay(hour, shards); });
     if (shards == 1) base = best;
     std::printf("%8d %14.0f %9.2fx\n", shards, best, best / base);
-    if (json != nullptr) {
-      std::fprintf(json,
-                   "%s\n    {\"shards\": %d, \"pps\": %.0f, "
-                   "\"speedup\": %.3f}",
-                   first ? "" : ",", shards, best, best / base);
-    }
-    first = false;
+    json::Object row{{"shards", shards},
+                     {"pps", benchx::fixed(best)},
+                     {"speedup", benchx::fixed(best / base, 3)}};
+    replay.emplace_back(std::move(row));
   }
-  if (json != nullptr) std::fprintf(json, "\n  ],\n");
+  doc["replay"] = std::move(replay);
 
   std::printf("\nlive (synthesis + merge + detection, end to end)\n");
   std::printf("%10s %8s %14s %10s\n", "producers", "shards", "pps",
               "speedup");
-  if (json != nullptr) std::fprintf(json, "  \"live\": [");
+  json::Array live;
   double live_base = 0.0;
-  first = true;
   for (const int producers : {1, 2, 4}) {
     for (const int shards : {1, 2, 4}) {
       std::size_t live_packets = 0;
-      const double best = best_pps([&] {
+      const double best = benchx::best_rate([&] {
         return run_live(population, aperture, producers, shards,
                         &live_packets);
       });
@@ -214,17 +166,14 @@ int main() {
       if (producers == 1 && shards == 1) live_base = best;
       std::printf("%10d %8d %14.0f %9.2fx\n", producers, shards, best,
                   best / live_base);
-      if (json != nullptr) {
-        std::fprintf(json,
-                     "%s\n    {\"producers\": %d, \"shards\": %d, "
-                     "\"pps\": %.0f, \"speedup\": %.3f}",
-                     first ? "" : ",", producers, shards, best,
-                     best / live_base);
-      }
-      first = false;
+      json::Object row{{"producers", producers},
+                       {"shards", shards},
+                       {"pps", benchx::fixed(best)},
+                       {"speedup", benchx::fixed(best / live_base, 3)}};
+      live.emplace_back(std::move(row));
     }
   }
-  if (json != nullptr) std::fprintf(json, "\n  ],\n");
+  doc["live"] = std::move(live);
 
   // Span-tracing overhead on the live 1x1 path: a disabled tracer must be
   // a single predictable branch (<= 3% cost is the budget; see
@@ -232,34 +181,27 @@ int main() {
   // reads and ring writes.
   std::printf("\ntracing overhead (live, 1 producer x 1 shard)\n");
   std::printf("%16s %14s %10s\n", "sampling", "pps", "vs off");
+  json::Array tracing;
   double trace_base = 0.0;
-  first = true;
-  if (json != nullptr) std::fprintf(json, "  \"tracing\": [");
   for (const double rate : {-1.0, 0.0, 1.0}) {
     obs::MetricsRegistry scratch;
     obs::Tracer tracer(obs::TracerConfig{rate < 0.0 ? 0.0 : rate, 4096},
                        &scratch);
     obs::Tracer* arg = rate < 0.0 ? nullptr : &tracer;
-    const double best = best_pps(
+    const double best = benchx::best_rate(
         [&] { return run_live(population, aperture, 1, 1, nullptr, arg); });
     if (rate < 0.0) trace_base = best;
     const char* label = rate < 0.0 ? "no tracer"
                         : rate == 0.0 ? "0% (disabled)" : "100%";
     std::printf("%16s %14.0f %9.3fx\n", label, best, best / trace_base);
-    if (json != nullptr) {
-      std::fprintf(json,
-                   "%s\n    {\"sampling\": \"%s\", \"pps\": %.0f, "
-                   "\"relative\": %.4f}",
-                   first ? "" : ",", label, best, best / trace_base);
-    }
-    first = false;
+    json::Object row{{"sampling", label},
+                     {"pps", benchx::fixed(best)},
+                     {"relative", benchx::fixed(best / trace_base, 4)}};
+    tracing.emplace_back(std::move(row));
   }
-  if (json != nullptr) {
-    std::fprintf(json, "\n  ]\n}\n");
-    std::fclose(json);
-    std::printf("\nwrote %s\n",
-                benchx::bench_json_path("BENCH_ingest.json").c_str());
-  }
+  doc["tracing"] = std::move(tracing);
+  benchx::write_bench_json("BENCH_ingest.json", "ingest_throughput", scale,
+                           std::move(doc));
   std::printf("\nspeedup >= 2x at 4 producers (live) and >= 1.8x at 4 "
               "shards (replay) expected on >=4 cores; on fewer cores the "
               "threaded paths add queueing overhead without parallelism. "

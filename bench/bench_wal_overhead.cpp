@@ -12,18 +12,19 @@
 //
 //   ./bench_wal_overhead            (EXIOT_SCALE=0.2 EXIOT_SEED=42)
 //
-// Each append row is the best of kAppendReps repetitions, and each
-// repetition appends in chunks until it holds kMinRepSeconds of timed work:
-// a single short run of the fsync-bound row measured the host's load more
-// than the log.
+// Every row follows benchx::best_rate. A pipeline row's single run is a
+// whole pipeline day, so it is the best of 3 runs; an append row is the
+// best of 5 repetitions, each appending chunks to one log until it holds
+// >= 0.3 s of timed work (a single short run of the fsync-bound row
+// measured the host's load more than the log).
 //
-// Results go to BENCH_wal.json for the perf trajectory
-// (tools/check_bench_regression.sh keys rows by "mode"). fsync-per-commit
-// numbers are storage-bound and vary wildly across CI disks — that row is
-// informational, not a regression gate on the same footing as the others.
-#include <algorithm>
-#include <chrono>
+// Results go to BENCH_wal.json for the perf trajectory.
+// tools/check_bench_regression.sh keys rows by "mode" and gates every
+// records_per_s, the fsync-per-commit rows (wal_fsync_each,
+// append[always]) included, although they are storage-bound and vary
+// more across disks than the rest.
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <string>
 #include <vector>
@@ -34,12 +35,6 @@
 using namespace exiot;
 
 namespace {
-
-double now_seconds(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                       start)
-      .count();
-}
 
 std::filesystem::path scratch_dir(const std::string& tag) {
   auto dir = std::filesystem::temp_directory_path() /
@@ -61,13 +56,10 @@ constexpr Mode kPipelineModes[] = {
     {"wal_fsync_each", true, store::WalFsync::kEveryAppend},
 };
 
-struct PipelineRun {
-  double rps = 0.0;
-  std::size_t records = 0;
-  std::uint64_t commits = 0;
-};
-
-PipelineRun run_mode(const benchx::Sim& sim, int days, const Mode& mode) {
+/// One full pipeline run in `mode`: records published over its wall time;
+/// `commits` gets the durability layer's commit index.
+benchx::Timed run_mode(const benchx::Sim& sim, int days, const Mode& mode,
+                       std::uint64_t& commits) {
   pipeline::PipelineConfig config;
   std::filesystem::path dir;
   if (mode.durable) {
@@ -76,51 +68,53 @@ PipelineRun run_mode(const benchx::Sim& sim, int days, const Mode& mode) {
     config.wal_fsync = mode.fsync;
     config.snapshot_interval_hours = 24;
   }
-  const auto start = std::chrono::steady_clock::now();
-  auto pipe = benchx::run_pipeline(sim, days, config);
-  const double elapsed = now_seconds(start);
-  PipelineRun run;
-  run.records =
-      pipe->metrics().counter_value("exiot_feed_records_published_total");
-  run.rps = static_cast<double>(run.records) / elapsed;
-  if (pipe->durability() != nullptr) {
-    run.commits = pipe->durability()->commit_index();
-  }
+  std::unique_ptr<pipeline::ExIotPipeline> pipe;
+  const benchx::Timed timed = benchx::timed([&] {
+    pipe = benchx::run_pipeline(sim, days, config);
+    return pipe->metrics().counter_value("exiot_feed_records_published_total");
+  });
+  commits = pipe->durability() != nullptr
+                ? pipe->durability()->commit_index()
+                : 0;
+  pipe.reset();
   if (mode.durable) std::filesystem::remove_all(dir);
-  return run;
+  return timed;
 }
 
-/// Repetitions per append row, and the timed work each one holds.
-constexpr int kAppendReps = 5;
-constexpr double kMinRepSeconds = 0.3;
-
-/// One repetition: appends `payload` in chunks of `chunk` into a fresh
-/// log until at least kMinRepSeconds have passed; returns appends/s.
-double run_append(store::WalFsync fsync, std::size_t chunk,
-                  const std::string& payload) {
+/// Appends/s of `payload` into one log under `fsync`, each best_rate call
+/// timing `chunk` appends. Segments the chunk left behind are pruned
+/// between calls, outside the timer, so the log's disk use stays bounded;
+/// closing it (a final fsync) is outside the timer too, where it would be
+/// unfair to kNone.
+double append_rate(store::WalFsync fsync, std::size_t chunk,
+                   const std::string& payload) {
   const auto dir = scratch_dir("append");
   store::WalOptions options;
   options.fsync = fsync;
-  auto writer = store::WalWriter::open(dir, options);
-  if (!writer.ok()) {
+  auto opened = store::WalWriter::open(dir, options);
+  if (!opened.ok()) {
     std::fprintf(stderr, "!! cannot open WAL: %s\n",
-                 writer.error().message.c_str());
-    return 0.0;
+                 opened.error().message.c_str());
+    std::exit(1);
   }
-  const auto start = std::chrono::steady_clock::now();
-  std::size_t appends = 0;
-  double elapsed = 0.0;
-  while (elapsed < kMinRepSeconds) {
-    for (std::size_t i = 0; i < chunk; ++i) {
-      if (!writer.value()->append(1, payload).ok()) return 0.0;
-    }
-    appends += chunk;
-    elapsed = now_seconds(start);
-  }
-  writer.value().reset();  // Final fsync inside the timer would be unfair
-                           // to kNone; close outside.
+  store::WalWriter& writer = *opened.value();
+  const double rate = benchx::best_rate([&] {
+    const benchx::Timed timed = benchx::timed([&] {
+      for (std::size_t i = 0; i < chunk; ++i) {
+        if (auto appended = writer.append(1, payload); !appended.ok()) {
+          std::fprintf(stderr, "!! WAL append failed: %s\n",
+                       appended.error().message.c_str());
+          std::exit(1);
+        }
+      }
+      return chunk;
+    });
+    writer.prune(writer.next_index());
+    return timed;
+  });
+  opened.value().reset();
   std::filesystem::remove_all(dir);
-  return static_cast<double>(appends) / elapsed;
+  return rate;
 }
 
 }  // namespace
@@ -130,39 +124,24 @@ int main() {
   const int days = 1;
   const benchx::Sim sim = benchx::make_sim(scale, days);
 
-  std::FILE* json = benchx::open_bench_json("BENCH_wal.json");
-  if (json != nullptr) {
-    std::fprintf(json,
-                 "{\n  \"bench\": \"wal_overhead\",\n"
-                 "  \"scale\": %.3f,\n  \"seed\": %llu,\n",
-                 scale, static_cast<unsigned long long>(benchx::env_seed()));
-  }
-
   benchx::heading("pipeline records/s: durability off vs WAL on");
   std::printf("%16s %14s %10s %10s\n", "mode", "records/s", "vs off",
               "commits");
+  json::Array pipeline_rows;
   double off_rps = 0.0;
-  bool first = true;
-  if (json != nullptr) std::fprintf(json, "  \"pipeline\": [");
   for (const Mode& mode : kPipelineModes) {
-    PipelineRun best;
-    for (int rep = 0; rep < 3; ++rep) {
-      PipelineRun run = run_mode(sim, days, mode);
-      if (run.rps > best.rps) best = run;
-    }
-    if (!mode.durable) off_rps = best.rps;
-    const double ratio = off_rps > 0 ? best.rps / off_rps : 0.0;
-    std::printf("%16s %14.0f %9.2fx %10llu\n", mode.name, best.rps, ratio,
-                static_cast<unsigned long long>(best.commits));
-    if (json != nullptr) {
-      std::fprintf(json,
-                   "%s\n    {\"mode\": \"%s\", \"records_per_s\": %.0f, "
-                   "\"ratio_vs_off\": %.3f}",
-                   first ? "" : ",", mode.name, best.rps, ratio);
-    }
-    first = false;
+    std::uint64_t commits = 0;
+    const double rps = benchx::best_rate(
+        [&] { return run_mode(sim, days, mode, commits); }, 3);
+    if (!mode.durable) off_rps = rps;
+    const double ratio = off_rps > 0 ? rps / off_rps : 0.0;
+    std::printf("%16s %14.0f %9.2fx %10llu\n", mode.name, rps, ratio,
+                static_cast<unsigned long long>(commits));
+    json::Object row{{"mode", mode.name},
+                     {"records_per_s", benchx::fixed(rps)},
+                     {"ratio_vs_off", benchx::fixed(ratio, 3)}};
+    pipeline_rows.emplace_back(std::move(row));
   }
-  if (json != nullptr) std::fprintf(json, "\n  ],\n");
 
   benchx::heading("raw WAL appends/s by fsync policy");
   // A publish frame is roughly a CtiRecord + features as JSON.
@@ -170,34 +149,24 @@ int main() {
   const auto appends =
       static_cast<std::size_t>(50000 * scale < 5000 ? 5000 : 50000 * scale);
   std::printf("%16s %14s\n", "mode", "appends/s");
-  if (json != nullptr) std::fprintf(json, "  \"append\": [");
-  first = true;
+  json::Array append_rows;
   for (const auto& [name, fsync] :
        {std::pair{"none", store::WalFsync::kNone},
         std::pair{"roll", store::WalFsync::kOnRoll},
         std::pair{"always", store::WalFsync::kEveryAppend}}) {
     // fsync-per-append is storage-bound: a smaller chunk keeps each
-    // repetition close to kMinRepSeconds.
+    // repetition close to benchx::kMinRepSeconds.
     const std::size_t n =
         fsync == store::WalFsync::kEveryAppend ? appends / 10 : appends;
-    double aps = 0.0;
-    for (int rep = 0; rep < kAppendReps; ++rep) {
-      aps = std::max(aps, run_append(fsync, n, payload));
-    }
+    const double aps = append_rate(fsync, n, payload);
     std::printf("%16s %14.0f\n", name, aps);
-    if (json != nullptr) {
-      std::fprintf(json,
-                   "%s\n    {\"mode\": \"%s\", \"records_per_s\": %.0f}",
-                   first ? "" : ",", name, aps);
-    }
-    first = false;
+    json::Object row{{"mode", name}, {"records_per_s", benchx::fixed(aps)}};
+    append_rows.emplace_back(std::move(row));
   }
-  if (json != nullptr) {
-    std::fprintf(json, "\n  ]\n}\n");
-    std::fclose(json);
-    std::printf("\nwrote %s\n",
-                benchx::bench_json_path("BENCH_wal.json").c_str());
-  }
+  benchx::write_bench_json(
+      "BENCH_wal.json", "wal_overhead", scale,
+      json::Object{{"pipeline", std::move(pipeline_rows)},
+                   {"append", std::move(append_rows)}});
   std::printf("\nexpected: wal within ~10%% of off (append is one write(2) "
               "inline in the pipeline's commit); wal_fsync_each pays one "
               "fsync per commit and is disk-bound.\n");

@@ -3,7 +3,8 @@
 # running anything — a zero or negative --days/--hours, a zero, negative
 # or non-finite --scale, more --sites than a site mask holds, a flag the
 # subcommand does not read, a --port outside 0..65535, an --api-timeout
-# below 1, and serve's API limits.
+# below 1, serve's API limits, a non-finite value for any numeric flag
+# (from_chars accepts "nan" and "inf") and a negative --site-reconnect.
 #
 #   cmake -DEXIOTCTL=path/to/exiotctl -DWORK_DIR=dir -P exiotctl_args_test.cmake
 file(REMOVE_RECURSE "${WORK_DIR}")
@@ -51,6 +52,17 @@ expect_usage_error("replay --dir ${WORK_DIR} --scale 0.1"
 expect_usage_error("simulate --site-skew 0,1" "unknown flag --site-skew")
 expect_usage_error("simulate --scale 0.01 --days" "--days expects a value")
 
+# Non-finite numbers, and a reconnect delay that would let messages sent
+# late in an outage through undelayed.
+expect_usage_error("simulate --scale 0.01 --site-reconnect nan"
+                   "--site-reconnect must be a finite number")
+expect_usage_error("simulate --scale 0.01 --site-reconnect -1"
+                   "--site-reconnect must be >= 0")
+expect_usage_error("simulate --scale 0.01 --sites 2 --site-outage 1:0:inf"
+                   "--site-outage expects IDX:FROM:TO")
+expect_usage_error("simulate --scale 0.01 --trace-sample nan"
+                   "--trace-sample must be a finite number")
+
 # serve checks every flag before it runs the pipeline: the data directory
 # the pipeline would create must not exist afterwards.
 set(serve "serve --scale 0.01 --data-dir ${WORK_DIR}/serve")
@@ -62,6 +74,8 @@ expect_usage_error("${serve} --api-cache-bytes -1"
                    "--api-cache-bytes must be >= 0")
 expect_usage_error("${serve} --api-rate-limit -1"
                    "--api-rate-limit must be >= 0")
+expect_usage_error("${serve} --api-rate-limit inf"
+                   "--api-rate-limit must be a finite number")
 if(EXISTS "${WORK_DIR}/serve")
   message(FATAL_ERROR "exiotctl serve ran the pipeline before rejecting "
                       "its flags")

@@ -1,7 +1,7 @@
 #!/bin/sh
 # Compares freshly produced BENCH_*.json files against the committed
 # baselines in bench/baselines/. The throughput keys (pps, rps,
-# records_per_s, *_banners_per_s) must not fall below THRESHOLD x the
+# records_per_s, banners_per_s) must not fall below THRESHOLD x the
 # baseline value — a deliberately generous bar (default 0.4) so only a
 # genuine regression (a serialized stage, an accidental O(n^2)) trips it,
 # not CI-machine noise or core-count differences. A bench's deterministic
@@ -42,8 +42,7 @@ for baseline in "$baselines"/BENCH_*.json; do
 import json
 import sys
 
-THROUGHPUT_KEYS = {"pps", "rps", "records_per_s",
-                   "linear_banners_per_s", "prefiltered_banners_per_s"}
+THROUGHPUT_KEYS = {"pps", "rps", "records_per_s", "banners_per_s"}
 
 # Per baseline file, per table: the columns that must match exactly.
 EXACT_COLUMNS = {

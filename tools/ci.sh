@@ -1,6 +1,8 @@
 #!/usr/bin/env bash
 # CI entry point: regular build + full test suite + metrics-name lint +
-# bench regression gate + a build and smoke run of the repository
+# bench regression gate (five gated benches: bench_hotpath,
+# bench_ingest_throughput, bench_wal_overhead, bench_federation,
+# bench_api_concurrency) + a build and smoke run of the repository
 # benchmark (perfbench/), then an AddressSanitizer+UndefinedBehavior-
 # Sanitizer build running the whole ctest suite (any report is fatal:
 # -fno-sanitize-recover=all), then a ThreadSanitizer build of the
@@ -32,13 +34,11 @@ bash tools/check_metrics_names.sh
 
 echo "== bench regression (non-TSan build) =="
 cmake --build "$BUILD" -j"$(nproc)" \
-  --target bench_ingest_throughput bench_annotate_throughput \
-           bench_api_concurrency bench_wal_overhead bench_hotpath \
-           bench_federation
+  --target bench_hotpath bench_ingest_throughput bench_wal_overhead \
+           bench_federation bench_api_concurrency
 BENCH_OUT=$(mktemp -d)
-for b in bench_ingest_throughput bench_annotate_throughput \
-         bench_api_concurrency bench_wal_overhead bench_hotpath \
-         bench_federation; do
+for b in bench_hotpath bench_ingest_throughput bench_wal_overhead \
+         bench_federation bench_api_concurrency; do
   echo "-- bench: $b"
   EXIOT_BENCH_DIR="$BENCH_OUT" "$BUILD/bench/$b" > /dev/null
 done

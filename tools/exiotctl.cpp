@@ -122,9 +122,19 @@ namespace {
 
 using namespace exiot;
 
+/// Parses all of `text` as a finite number. from_chars also accepts "nan",
+/// "inf" and "-inf", which no flag can use: NaN passes every range check,
+/// and casting a non-finite duration to TimeMicros is undefined behaviour.
+bool parse_finite(std::string_view text, double& out) {
+  const auto [ptr, ec] =
+      std::from_chars(text.data(), text.data() + text.size(), out);
+  return ec == std::errc{} && ptr == text.data() + text.size() &&
+         std::isfinite(out);
+}
+
 /// Minimal --flag value argument scanner. Numeric accessors are strict: a
-/// value that is not entirely numeric, or that overflows the target type,
-/// is a usage error (exit 2) rather than a silent 0 the way atoi/atof
+/// value that is not entirely numeric, not finite, or that overflows the
+/// target type, is a usage error (exit 2) rather than a silent 0 the way atoi/atof
 /// would have it — `--port 80x80` or `--days 999999999999` should stop the
 /// run, not mangle it.
 class Args {
@@ -161,10 +171,9 @@ class Args {
     const std::string value = get(flag);
     if (value.empty()) return fallback;
     double parsed = 0.0;
-    const auto [ptr, ec] =
-        std::from_chars(value.data(), value.data() + value.size(), parsed);
-    if (ec != std::errc{} || ptr != value.data() + value.size()) {
-      std::fprintf(stderr, "exiotctl: %s expects a number, got \"%s\"\n",
+    if (!parse_finite(value, parsed)) {
+      std::fprintf(stderr,
+                   "exiotctl: %s must be a finite number, got \"%s\"\n",
                    flag.c_str(), value.c_str());
       std::exit(2);
     }
@@ -200,15 +209,15 @@ class Args {
     }
     return value;
   }
-  /// get_double plus a finite > 0 check, for the population --scale: a
-  /// zero, negative or non-finite scale would clamp every host class to
-  /// one host and still publish a feed.
+  /// get_double plus a > 0 check, for the population --scale: a zero or
+  /// negative scale would clamp every host class to one host and still
+  /// publish a feed.
   double get_positive_double(const std::string& flag,
                              double fallback) const {
     const double value = get_double(flag, fallback);
-    if (!std::isfinite(value) || value <= 0.0) {
-      std::fprintf(stderr, "exiotctl: %s must be a finite number > 0, "
-                   "got \"%s\"\n", flag.c_str(), get(flag).c_str());
+    if (value <= 0.0) {
+      std::fprintf(stderr, "exiotctl: %s must be > 0, got \"%s\"\n",
+                   flag.c_str(), get(flag).c_str());
       std::exit(2);
     }
     return value;
@@ -298,7 +307,15 @@ void apply_pipeline_flags(const Args& args,
   }
   config.site_specs.assign(static_cast<std::size_t>(config.num_sites),
                            pipeline::SiteSpec{});
+  // A negative delay would let a message sent late in an outage through
+  // undelayed: the tunnel skips an outage once its end plus the delay has
+  // passed.
   const double reconnect = args.get_double("--site-reconnect", 5.0);
+  if (reconnect < 0.0) {
+    std::fprintf(stderr, "exiotctl: --site-reconnect must be >= 0, got %g\n",
+                 reconnect);
+    std::exit(2);
+  }
   for (auto& spec : config.site_specs) {
     spec.reconnect_delay = seconds(reconnect);
   }
@@ -316,17 +333,14 @@ void apply_pipeline_flags(const Args& args,
       const std::string s1 = outage.substr(c1 + 1, c2 - c1 - 1);
       const std::string s2 = outage.substr(c2 + 1);
       auto r0 = std::from_chars(s0.data(), s0.data() + s0.size(), site);
-      auto r1 = std::from_chars(s1.data(), s1.data() + s1.size(), from);
-      auto r2 = std::from_chars(s2.data(), s2.data() + s2.size(), to);
       ok = r0.ec == std::errc{} && r0.ptr == s0.data() + s0.size() &&
-           r1.ec == std::errc{} && r1.ptr == s1.data() + s1.size() &&
-           r2.ec == std::errc{} && r2.ptr == s2.data() + s2.size() &&
-           site >= 0 && site < config.num_sites && to > from;
+           parse_finite(s1, from) && parse_finite(s2, to) && site >= 0 &&
+           site < config.num_sites && to > from;
     }
     if (!ok) {
       std::fprintf(stderr,
-                   "exiotctl: --site-outage expects IDX:FROM:TO (seconds, "
-                   "IDX < --sites, TO > FROM), got \"%s\"\n",
+                   "exiotctl: --site-outage expects IDX:FROM:TO (finite "
+                   "seconds, IDX < --sites, TO > FROM), got \"%s\"\n",
                    outage.c_str());
       std::exit(2);
     }
